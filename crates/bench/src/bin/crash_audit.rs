@@ -22,11 +22,10 @@
 //! re-runs on unchanged code serve every cell (audit reports, sweep
 //! timings, wall-clocks) from the store.
 use lightwsp_bench::evalrun::cache_line;
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::recovery::{audit_workload_crashes_cached, AuditBudget};
 use lightwsp_core::{
-    digest_debug, memo_value, Experiment, JsonWriter, ResultStore, Scheme, SimConfig, StoreKey,
-    TextRecord,
+    digest_debug, memo_value, record_codec, Experiment, JsonWriter, ResultStore, Scheme, SimConfig,
+    StoreKey,
 };
 use lightwsp_sim::{CrashPointKind, GatingMutant, SweepMode};
 use lightwsp_workloads::workload;
@@ -78,6 +77,19 @@ const CONFIGS: [AuditConfig; 4] = [
         },
     },
 ];
+
+record_codec! {
+    /// The memoized fork-vs-rerun dense capture sweep stage.
+    struct DenseSweep {
+        points: usize,
+        audited: usize,
+        horizon: u64,
+        violations: usize,
+        identical: bool,
+        fork_wall_s: f64,
+        rerun_wall_s: f64,
+    }
+}
 
 fn main() {
     let mut opts = lightwsp_bench::common_options();
@@ -195,17 +207,6 @@ fn main() {
             0,
             store.map_or(0, ResultStore::code),
         ),
-        |s| {
-            let rec = TextRecord::decode(s)?;
-            for f in ["fork_wall_s", "rerun_wall_s"] {
-                rec.f64(f)?;
-            }
-            for f in ["points", "audited", "horizon", "violations", "identical"] {
-                rec.num::<u64>(f)?;
-            }
-            Ok(rec)
-        },
-        TextRecord::encode,
         || {
             use lightwsp_bench::sweepmode::{compare_sweep, dense_points};
             let sweep_cfg = {
@@ -218,30 +219,33 @@ fn main() {
             let (points, horizon) =
                 dense_points(&compiled, &sweep_cfg, 1, cap_per_kind, dense_seeded, 0x5EE9);
             let sweep = compare_sweep(&compiled, &sweep_cfg, 1, &points);
-            let mut rec = TextRecord::default();
-            rec.set("points", sweep.fork.points);
-            rec.set("audited", sweep.fork.audited);
-            rec.set("horizon", horizon);
-            rec.set("violations", sweep.fork.violations + sweep.rerun.violations);
-            rec.set("identical", u64::from(sweep.identical()));
-            rec.set_f64("fork_wall_s", sweep.fork.wall_s);
-            rec.set_f64("rerun_wall_s", sweep.rerun.wall_s);
-            rec
+            DenseSweep {
+                points: sweep.fork.points,
+                audited: sweep.fork.audited,
+                horizon,
+                violations: sweep.fork.violations + sweep.rerun.violations,
+                identical: sweep.identical(),
+                fork_wall_s: sweep.fork.wall_s,
+                rerun_wall_s: sweep.rerun.wall_s,
+            }
         },
     )
     .0;
-    let fork_wall_s = sweep_rec.f64("fork_wall_s").unwrap_or(0.0);
-    let rerun_wall_s = sweep_rec.f64("rerun_wall_s").unwrap_or(0.0);
+    let DenseSweep {
+        fork_wall_s,
+        rerun_wall_s,
+        identical: sweep_identical,
+        horizon,
+        ..
+    } = sweep_rec;
     let sweep_speedup = rerun_wall_s / fork_wall_s.max(1e-12);
-    let sweep_identical = sweep_rec.num::<u64>("identical").unwrap_or(0) == 1;
-    let horizon = sweep_rec.num::<u64>("horizon").unwrap_or(0);
-    violations_total += sweep_rec.num::<usize>("violations").unwrap_or(0);
+    violations_total += sweep_rec.violations;
     let _ = writeln!(
         out,
         "sweep-engine: hmmer dense capture sweep, {} points over {horizon} cycles: \
          fork {fork_wall_s:.3}s, rerun {rerun_wall_s:.3}s, speedup {sweep_speedup:.1}x \
          (states identical: {sweep_identical})",
-        sweep_rec.num::<u64>("points").unwrap_or(0),
+        sweep_rec.points,
     );
 
     let total_s = memo_value(
@@ -254,8 +258,6 @@ fn main() {
             0,
             store.map_or(0, ResultStore::code),
         ),
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
         || t0.elapsed().as_secs_f64(),
     )
     .0;
@@ -282,8 +284,8 @@ fn main() {
     jw.close();
     jw.object("sweep");
     jw.field_str("workload", "hmmer");
-    jw.field("points", sweep_rec.num::<u64>("points").unwrap_or(0));
-    jw.field("audited", sweep_rec.num::<u64>("audited").unwrap_or(0));
+    jw.field("points", sweep_rec.points);
+    jw.field("audited", sweep_rec.audited);
     jw.field("horizon_cycles", horizon);
     jw.field("fork_wall_s", format_args!("{fork_wall_s:.4}"));
     jw.field("rerun_wall_s", format_args!("{rerun_wall_s:.4}"));

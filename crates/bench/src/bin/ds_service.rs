@@ -31,7 +31,6 @@
 
 use lightwsp_bench::evalrun::cache_line;
 use lightwsp_compiler::{instrument, CompilerConfig};
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::dsaudit::{audit_recoverable_ds_cached, DsAuditBudget};
 use lightwsp_core::oracle::run_case_cached;
 use lightwsp_core::{digest_debug, memo_value, DsCellRecord, JsonWriter, ResultStore, StoreKey};
@@ -95,8 +94,6 @@ fn sweep(
             0,
             store.map_or(0, ResultStore::code),
         ),
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
         || measured,
     )
     .0;
@@ -448,8 +445,6 @@ fn main() {
             0,
             store.map_or(0, ResultStore::code),
         ),
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
         || t0.elapsed().as_secs_f64(),
     )
     .0;

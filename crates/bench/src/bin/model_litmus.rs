@@ -33,14 +33,13 @@
 
 use lightwsp_bench::evalrun::cache_line;
 use lightwsp_bench::sweepmode::compare_sweep;
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::oracle::{
     fuzz_sweep_cached, litmus_sweep_cached, model_mutant_kill_matrix, mutant_kill_matrix_cached,
     ALL_MUTANTS,
 };
 use lightwsp_core::{
-    digest_debug, memo_value, CaseRecord, JsonWriter, ResultStore, StoreKey, SweepRecord,
-    TextRecord,
+    digest_debug, memo_value, record_codec, JsonWriter, ResultStore, StoreKey, SweepRecord,
+    SweepReport,
 };
 use lightwsp_model::harness::{sim_config, EnumMode};
 use lightwsp_model::{litmus_suite, CaseSpec, FuzzBias, ModelMutant, PointPolicy};
@@ -51,7 +50,7 @@ use std::time::Instant;
 /// Fixed fuzz seed: CI and the paper artifact reproduce bit-identically.
 const FUZZ_SEED: u64 = 0x11BD_57A7;
 
-fn summarize(out: &mut String, label: &str, mode: StepMode, rep: &SweepRecord) {
+fn summarize(out: &mut String, label: &str, mode: StepMode, rep: &SweepReport) {
     let _ = writeln!(
         out,
         "{label:<8} ({:<10}) cases={:<5} points={:<7} audited={:<7} admitted={:<7} \
@@ -84,10 +83,14 @@ fn summarize(out: &mut String, label: &str, mode: StepMode, rep: &SweepRecord) {
     }
 }
 
-/// True if two case outcomes are identical field-for-field — the
-/// fork/rerun parity predicate (violation strings included).
-fn same_outcome(a: &CaseRecord, b: &CaseRecord) -> bool {
-    a == b
+record_codec! {
+    /// The memoized dense per-cycle capture sweep stage.
+    struct DenseCapture {
+        points: usize,
+        litmuses: usize,
+        fork_s: f64,
+        rerun_s: f64,
+    }
 }
 
 fn memo_wall(
@@ -104,14 +107,7 @@ fn memo_wall(
         0,
         store.map_or(0, ResultStore::code),
     );
-    memo_value(
-        store,
-        &key,
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        measured,
-    )
-    .0
+    memo_value(store, &key, measured).0
 }
 
 fn main() {
@@ -147,7 +143,7 @@ fn main() {
         {
             let (rep, _hit) = litmus_sweep_cached(store, &c, mode, sweep, EnumMode::Overapprox);
             if sweep == SweepMode::Fork {
-                summarize(&mut out, "litmus", mode, &rep);
+                summarize(&mut out, "litmus", mode, &rep.report);
                 for o in &rep.outcomes {
                     let _ = writeln!(
                         out,
@@ -162,15 +158,15 @@ fn main() {
                         o.violations(),
                     );
                 }
-                violations += rep.violations();
-                extract_errors += rep.extract_errors.len();
+                violations += rep.report.violations();
+                extract_errors += rep.report.extract_errors.len();
                 fork_reports.push(rep);
             } else {
                 let fork = &fork_reports[mi].outcomes;
                 let diverged = fork
                     .iter()
                     .zip(&rep.outcomes)
-                    .filter(|(a, b)| !same_outcome(a, b))
+                    .filter(|(a, b)| a != b)
                     .count()
                     + fork.len().abs_diff(rep.outcomes.len());
                 assert_eq!(
@@ -215,15 +211,6 @@ fn main() {
             0,
             store.map_or(0, ResultStore::code),
         ),
-        |s| {
-            let rec = TextRecord::decode(s)?;
-            rec.num::<u64>("points")?;
-            rec.num::<u64>("litmuses")?;
-            rec.f64("fork_s")?;
-            rec.f64("rerun_s")?;
-            Ok(rec)
-        },
-        TextRecord::encode,
         || {
             let mut fork_s = 0.0f64;
             let mut rerun_s = 0.0f64;
@@ -257,25 +244,25 @@ fn main() {
                 rerun_s += cmp.rerun.wall_s;
                 points += pts.len();
             }
-            let mut rec = TextRecord::default();
-            rec.set("points", points);
-            rec.set("litmuses", suite.len());
-            rec.set_f64("fork_s", fork_s);
-            rec.set_f64("rerun_s", rerun_s);
-            rec
+            DenseCapture {
+                points,
+                litmuses: suite.len(),
+                fork_s,
+                rerun_s,
+            }
         },
     )
     .0;
-    let dense_fork_s = dense.f64("fork_s").unwrap_or(0.0);
-    let dense_rerun_s = dense.f64("rerun_s").unwrap_or(0.0);
-    let dense_points = dense.num::<u64>("points").unwrap_or(0);
+    let dense_fork_s = dense.fork_s;
+    let dense_rerun_s = dense.rerun_s;
+    let dense_points = dense.points;
     let dense_speedup = dense_rerun_s / dense_fork_s.max(1e-12);
     let _ = writeln!(
         out,
         "sweep-engine: dense per-cycle capture sweep ({} litmuses, {dense_points} points): \
          fork {dense_fork_s:.2}s, rerun {dense_rerun_s:.2}s, speedup {dense_speedup:.1}x \
          (states identical)",
-        dense.num::<u64>("litmuses").unwrap_or(0),
+        dense.litmuses,
     );
 
     // Stage 1c: exact enumeration mode — the same suite with the
@@ -292,9 +279,9 @@ fn main() {
         SweepMode::Fork,
         EnumMode::Exact,
     );
-    summarize(&mut out, "exact", StepMode::SkipAhead, &exact_rep);
-    violations += exact_rep.violations();
-    extract_errors += exact_rep.extract_errors.len();
+    summarize(&mut out, "exact", StepMode::SkipAhead, &exact_rep.report);
+    violations += exact_rep.report.violations();
+    extract_errors += exact_rep.report.extract_errors.len();
     let mut strict_deltas = 0usize;
     let _ = writeln!(
         out,
@@ -321,7 +308,7 @@ fn main() {
         out,
         "exact: {} litmuses strictly tighter, {} fully witnessed of {}",
         strict_deltas,
-        exact_rep.exact_complete,
+        exact_rep.report.exact_complete,
         exact_rep.outcomes.len(),
     );
 
@@ -387,13 +374,13 @@ fn main() {
     // the cross-thread-biased stream — always ≥ 2 threads, the shapes
     // where the modes differ — runs under exact enumeration, so every
     // observed image must be a cut of its run's protocol order.
-    let mut fuzz_reports: Vec<(FuzzBias, StepMode, SweepRecord)> = Vec::new();
+    let mut fuzz_reports: Vec<(FuzzBias, StepMode, SweepReport)> = Vec::new();
     for (bias, enum_mode) in [
         (FuzzBias::Uniform, EnumMode::Overapprox),
         (FuzzBias::CrossThread, EnumMode::Exact),
     ] {
         for mode in [StepMode::SkipAhead, StepMode::Reference] {
-            let (rep, _hit) = fuzz_sweep_cached(
+            let (SweepRecord { report: rep, .. }, _hit) = fuzz_sweep_cached(
                 store,
                 &c,
                 FUZZ_SEED,
@@ -437,7 +424,7 @@ fn main() {
     jw.field("unkilled_model_mutants", mm_unkilled);
     jw.field("model_mutants_total", ModelMutant::ALL.len());
     jw.field("exact_strict_deltas", strict_deltas);
-    jw.field("exact_fully_witnessed", exact_rep.exact_complete);
+    jw.field("exact_fully_witnessed", exact_rep.report.exact_complete);
     jw.field("litmus_fork_wall_s", format_args!("{:.4}", litmus_wall[0]));
     jw.field("litmus_rerun_wall_s", format_args!("{:.4}", litmus_wall[1]));
     jw.field("litmus_audit_speedup", format_args!("{litmus_speedup:.2}"));

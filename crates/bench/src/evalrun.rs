@@ -13,10 +13,9 @@
 //! `grep -v '"cache":'` when comparing).
 
 use crate::{emit, emit_text, execmode, figures, mempath, stepmode, Filter};
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::{
-    digest_debug, memo_value, Campaign, ExperimentOptions, Job, JsonWriter, ResultStore, Scheme,
-    StoreKey, TextRecord,
+    digest_debug, memo_value, record_codec, Campaign, ExperimentOptions, Job, JsonWriter,
+    ResultStore, Scheme, StoreKey,
 };
 use lightwsp_workloads::all_workloads;
 use std::fmt::Write as _;
@@ -72,29 +71,10 @@ pub struct EvalSummary {
     pub headline: String,
 }
 
-/// Serves the stored wall-clock for `name` or records `measured`.
-fn memo_wall(store: Option<&ResultStore>, name: &str, config: u64, measured: f64) -> f64 {
-    let key = StoreKey::new(
-        "metawall",
-        name,
-        "wall",
-        config,
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_value(
-        store,
-        &key,
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        || measured,
-    )
-    .0
-}
-
-/// Like [`memo_wall`] but computes the measurement lazily (full-run
-/// quick-subset timing is itself a multi-second simulation pass).
-fn memo_wall_lazy(
+/// Serves the stored wall-clock for `name`, or measures and records
+/// it (a full run's quick-subset timing is itself a multi-second
+/// simulation pass, so the measurement is lazy).
+fn memo_wall(
     store: Option<&ResultStore>,
     name: &str,
     config: u64,
@@ -108,14 +88,7 @@ fn memo_wall_lazy(
         0,
         store.map_or(0, ResultStore::code),
     );
-    memo_value(
-        store,
-        &key,
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        measure,
-    )
-    .0
+    memo_value(store, &key, measure).0
 }
 
 fn section_key(store: Option<&ResultStore>, name: &str, config: u64) -> StoreKey {
@@ -129,17 +102,38 @@ fn section_key(store: Option<&ResultStore>, name: &str, config: u64) -> StoreKey
     )
 }
 
-/// Decodes a section record, validating that every required field is
-/// present and well-formed so corrupt records fall back to recompute.
-fn decode_section(text: &str, nums: &[&str], floats: &[&str]) -> Result<TextRecord, String> {
-    let rec = TextRecord::decode(text)?;
-    for f in nums {
-        rec.num::<u64>(f)?;
+record_codec! {
+    /// The memoized step-mode section: its summary plus the
+    /// pre-rendered JSON rows.
+    struct StepSection {
+        summary: stepmode::Summary,
+        rows: String,
     }
-    for f in floats {
-        rec.f64(f)?;
+}
+
+record_codec! {
+    /// The memoized dispatch-kernel half of the exec-mode section.
+    struct ExecKernels {
+        dispatch_geomean: f64,
+        rows: String,
     }
-    Ok(rec)
+}
+
+record_codec! {
+    /// The memoized Fig. 7 cell half of the exec-mode section.
+    struct ExecCells {
+        summary: execmode::Summary,
+        rows: String,
+    }
+}
+
+record_codec! {
+    /// The memoized memory-path micro-stream section.
+    struct MemSection {
+        streams: usize,
+        stream_geomean: f64,
+        rows: String,
+    }
 }
 
 /// Runs the (filtered) evaluation and assembles `BENCH_eval.json`.
@@ -158,23 +152,17 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     if f.section("fig07") {
         let t = Instant::now();
         emit(&figures::fig07(&c, opts));
-        fig07_s = Some(memo_wall(
-            store,
-            "fig07-wall",
-            cfg_digest,
-            t.elapsed().as_secs_f64(),
-        ));
+        fig07_s = Some(memo_wall(store, "fig07-wall", cfg_digest, || {
+            t.elapsed().as_secs_f64()
+        }));
     }
     let mut fig11_s = None;
     if f.section("fig11") {
         let t = Instant::now();
         emit(&figures::fig11(&c, opts));
-        fig11_s = Some(memo_wall(
-            store,
-            "fig11-wall",
-            cfg_digest,
-            t.elapsed().as_secs_f64(),
-        ));
+        fig11_s = Some(memo_wall(store, "fig11-wall", cfg_digest, || {
+            t.elapsed().as_secs_f64()
+        }));
     }
     if f.section("fig08") {
         emit(&figures::fig08(&c, opts));
@@ -242,7 +230,7 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     // null. Only meaningful when both figures ran.
     let quick_subset_s = match (fig07_s, fig11_s) {
         (Some(a), Some(b)) if eo.quick => Some(a + b),
-        (Some(_), Some(_)) => Some(memo_wall_lazy(
+        (Some(_), Some(_)) => Some(memo_wall(
             store,
             "quick-subset-wall",
             cfg_digest,
@@ -258,51 +246,30 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     let step = f.section("stepmode").then(|| {
         eprintln!("timing step modes over the fig07+fig11 single-thread cells...");
         let key = section_key(store, "stepmode", cfg_digest);
-        memo_value(
-            store,
-            &key,
-            |s| {
-                decode_section(
-                    s,
-                    &["cells"],
-                    &[
-                        "reference_s",
-                        "skip_ahead_s",
-                        "batch_speedup",
-                        "geomean_speedup",
-                    ],
-                )
-            },
-            TextRecord::encode,
-            || {
-                let cells = stepmode::fig07_fig11_cells(opts);
-                let timings = stepmode::compare_cells(&cells, 5);
-                let summary = stepmode::summarize(&timings);
-                let mut rec = TextRecord::default();
-                rec.set("cells", summary.cells);
-                rec.set_f64("reference_s", summary.reference_s);
-                rec.set_f64("skip_ahead_s", summary.skip_ahead_s);
-                rec.set_f64("batch_speedup", summary.batch_speedup);
-                rec.set_f64("geomean_speedup", summary.geomean_speedup);
-                let mut rows = Vec::with_capacity(timings.len());
-                for t in &timings {
-                    rows.push(format!(
-                        "    {{\"figure\": \"{}\", \"workload\": \"{}\", \"scheme\": \"{}\", \
+        memo_value(store, &key, || {
+            let cells = stepmode::fig07_fig11_cells(opts);
+            let timings = stepmode::compare_cells(&cells, 5);
+            let summary = stepmode::summarize(&timings);
+            let mut rows = Vec::with_capacity(timings.len());
+            for t in &timings {
+                rows.push(format!(
+                    "    {{\"figure\": \"{}\", \"workload\": \"{}\", \"scheme\": \"{}\", \
                          \"cycles\": {}, \"reference_ms\": {:.3}, \"skip_ahead_ms\": {:.3}, \
                          \"speedup\": {:.2}}}",
-                        t.figure,
-                        t.workload,
-                        t.scheme.name(),
-                        t.cycles,
-                        t.reference_s * 1e3,
-                        t.skip_ahead_s * 1e3,
-                        t.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
+                    t.figure,
+                    t.workload,
+                    t.scheme.name(),
+                    t.cycles,
+                    t.reference_s * 1e3,
+                    t.skip_ahead_s * 1e3,
+                    t.speedup(),
+                ));
+            }
+            StepSection {
+                summary,
+                rows: rows.join(",\n"),
+            }
+        })
         .0
     });
 
@@ -311,78 +278,53 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     // its own record.
     let exec = f.section("execmode").then(|| {
         eprintln!("timing exec modes (dispatch kernels + fig07 single-thread cells)...");
-        let kernels_rec = memo_value(
-            store,
-            &section_key(store, "execmode-kernels", cfg_digest),
-            |s| decode_section(s, &[], &["dispatch_geomean"]),
-            TextRecord::encode,
-            || {
-                let kernels = execmode::dispatch_kernels(60_000, 20);
-                let mut rec = TextRecord::default();
-                rec.set_f64("dispatch_geomean", execmode::dispatch_geomean(&kernels));
-                let mut rows = Vec::with_capacity(kernels.len());
-                for k in &kernels {
-                    rows.push(format!(
-                        "    {{\"workload\": \"{}\", \"insts\": {}, \"tree_ms\": {:.3}, \
+        let kernels_key = section_key(store, "execmode-kernels", cfg_digest);
+        let kernels_rec = memo_value(store, &kernels_key, || {
+            let kernels = execmode::dispatch_kernels(60_000, 20);
+            let mut rows = Vec::with_capacity(kernels.len());
+            for k in &kernels {
+                rows.push(format!(
+                    "    {{\"workload\": \"{}\", \"insts\": {}, \"tree_ms\": {:.3}, \
                          \"decoded_ms\": {:.3}, \"speedup\": {:.2}}}",
-                        k.workload,
-                        k.insts,
-                        k.tree_s * 1e3,
-                        k.decoded_s * 1e3,
-                        k.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
+                    k.workload,
+                    k.insts,
+                    k.tree_s * 1e3,
+                    k.decoded_s * 1e3,
+                    k.speedup(),
+                ));
+            }
+            ExecKernels {
+                dispatch_geomean: execmode::dispatch_geomean(&kernels),
+                rows: rows.join(",\n"),
+            }
+        })
         .0;
-        let cells_rec = memo_value(
-            store,
-            &section_key(store, "execmode-cells", cfg_digest),
-            |s| {
-                decode_section(
-                    s,
-                    &["cells"],
-                    &[
-                        "reference_s",
-                        "decoded_s",
-                        "geomean_speedup",
-                        "dense_geomean_speedup",
-                    ],
-                )
-            },
-            TextRecord::encode,
-            || {
-                let cells = execmode::fig07_cells(opts);
-                let timings = execmode::compare_cells(&cells, 5);
-                let summary = execmode::summarize(&timings);
-                let mut rec = TextRecord::default();
-                rec.set("cells", summary.cells);
-                rec.set_f64("reference_s", summary.reference_s);
-                rec.set_f64("decoded_s", summary.decoded_s);
-                rec.set_f64("geomean_speedup", summary.geomean_speedup);
-                rec.set_f64("dense_geomean_speedup", summary.dense_geomean_speedup);
-                let mut rows = Vec::with_capacity(timings.len());
-                for t in &timings {
-                    rows.push(format!(
-                        "    {{\"figure\": \"{}\", \"workload\": \"{}\", \"scheme\": \"{}\", \
+        let cells_key = section_key(store, "execmode-cells", cfg_digest);
+        let cells_rec = memo_value(store, &cells_key, || {
+            let cells = execmode::fig07_cells(opts);
+            let timings = execmode::compare_cells(&cells, 5);
+            let summary = execmode::summarize(&timings);
+            let mut rows = Vec::with_capacity(timings.len());
+            for t in &timings {
+                rows.push(format!(
+                    "    {{\"figure\": \"{}\", \"workload\": \"{}\", \"scheme\": \"{}\", \
                          \"compute_dense\": {}, \"cycles\": {}, \"reference_ms\": {:.3}, \
                          \"decoded_ms\": {:.3}, \"speedup\": {:.2}}}",
-                        t.figure,
-                        t.workload,
-                        t.scheme.name(),
-                        t.compute_dense,
-                        t.cycles,
-                        t.reference_s * 1e3,
-                        t.decoded_s * 1e3,
-                        t.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
+                    t.figure,
+                    t.workload,
+                    t.scheme.name(),
+                    t.compute_dense,
+                    t.cycles,
+                    t.reference_s * 1e3,
+                    t.decoded_s * 1e3,
+                    t.speedup(),
+                ));
+            }
+            ExecCells {
+                summary,
+                rows: rows.join(",\n"),
+            }
+        })
         .0;
         (kernels_rec, cells_rec)
     });
@@ -393,38 +335,32 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     let mem = f.section("mem_path").then(|| {
         eprintln!("timing memory-path micro streams (fast vs reference cache models)...");
         let key = section_key(store, "mem_path", cfg_digest);
-        memo_value(
-            store,
-            &key,
-            |s| decode_section(s, &["streams"], &["stream_geomean"]),
-            TextRecord::encode,
-            || {
-                let n = if eo.quick { 20_000 } else { 200_000 };
-                let timings: Vec<_> = mempath::micro_streams(n)
-                    .iter()
-                    .map(|s| mempath::time_stream(s, 5))
-                    .collect();
-                let mut rec = TextRecord::default();
-                rec.set("streams", timings.len() as u64);
-                rec.set_f64("stream_geomean", mempath::stream_geomean(&timings));
-                let mut rows = Vec::with_capacity(timings.len());
-                for t in &timings {
-                    rows.push(format!(
-                        "    {{\"stream\": \"{}\", \"what\": \"{}\", \"accesses\": {}, \
+        memo_value(store, &key, || {
+            let n = if eo.quick { 20_000 } else { 200_000 };
+            let timings: Vec<_> = mempath::micro_streams(n)
+                .iter()
+                .map(|s| mempath::time_stream(s, 5))
+                .collect();
+            let mut rows = Vec::with_capacity(timings.len());
+            for t in &timings {
+                rows.push(format!(
+                    "    {{\"stream\": \"{}\", \"what\": \"{}\", \"accesses\": {}, \
                          \"fast_ns_per_access\": {:.2}, \"reference_ns_per_access\": {:.2}, \
                          \"speedup\": {:.2}}}",
-                        t.name,
-                        t.what,
-                        t.accesses,
-                        t.fast_ns(),
-                        t.reference_ns(),
-                        t.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
+                    t.name,
+                    t.what,
+                    t.accesses,
+                    t.fast_ns(),
+                    t.reference_ns(),
+                    t.speedup(),
+                ));
+            }
+            MemSection {
+                streams: timings.len(),
+                stream_geomean: mempath::stream_geomean(&timings),
+                rows: rows.join(",\n"),
+            }
+        })
         .0
     });
 
@@ -433,7 +369,7 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
         store,
         "total-wall",
         digest_debug(&(opts, eo.quick, f.normalized())),
-        wall_s,
+        || wall_s,
     );
 
     // Assemble the document. Every value below is either memoized or
@@ -462,53 +398,53 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
             format_args!("{:.2}", SERIAL_SEED_FIG07_FIG11_QUICK_S / qs.max(1e-9)),
         );
     }
-    if let Some(rec) = &step {
-        w.field("stepmode_cells", rec.num::<u64>("cells").unwrap_or(0));
+    if let Some(StepSection { summary: s, .. }) = &step {
+        w.field("stepmode_cells", s.cells);
         w.field(
             "stepmode_fig07_fig11_reference_s",
-            format_args!("{:.3}", rec.f64("reference_s").unwrap_or(0.0)),
+            format_args!("{:.3}", s.reference_s),
         );
         w.field(
             "stepmode_fig07_fig11_skip_ahead_s",
-            format_args!("{:.3}", rec.f64("skip_ahead_s").unwrap_or(0.0)),
+            format_args!("{:.3}", s.skip_ahead_s),
         );
         w.field(
             "skip_ahead_speedup_fig07_fig11",
-            format_args!("{:.2}", rec.f64("batch_speedup").unwrap_or(0.0)),
+            format_args!("{:.2}", s.batch_speedup),
         );
         w.field(
             "skip_ahead_geomean_speedup_cells",
-            format_args!("{:.2}", rec.f64("geomean_speedup").unwrap_or(0.0)),
+            format_args!("{:.2}", s.geomean_speedup),
         );
     }
-    if let Some((kernels, cells)) = &exec {
+    if let Some((kernels, ExecCells { summary: s, .. })) = &exec {
         w.field(
             "exec_dispatch_geomean_speedup",
-            format_args!("{:.2}", kernels.f64("dispatch_geomean").unwrap_or(0.0)),
+            format_args!("{:.2}", kernels.dispatch_geomean),
         );
-        w.field("execmode_cells", cells.num::<u64>("cells").unwrap_or(0));
+        w.field("execmode_cells", s.cells);
         w.field(
             "execmode_fig07_reference_s",
-            format_args!("{:.3}", cells.f64("reference_s").unwrap_or(0.0)),
+            format_args!("{:.3}", s.reference_s),
         );
         w.field(
             "execmode_fig07_decoded_s",
-            format_args!("{:.3}", cells.f64("decoded_s").unwrap_or(0.0)),
+            format_args!("{:.3}", s.decoded_s),
         );
         w.field(
             "decoded_geomean_speedup_cells",
-            format_args!("{:.2}", cells.f64("geomean_speedup").unwrap_or(0.0)),
+            format_args!("{:.2}", s.geomean_speedup),
         );
         w.field(
             "decoded_dense_geomean_speedup",
-            format_args!("{:.2}", cells.f64("dense_geomean_speedup").unwrap_or(0.0)),
+            format_args!("{:.2}", s.dense_geomean_speedup),
         );
     }
     if let Some(rec) = &mem {
-        w.field("mem_path_streams", rec.num::<u64>("streams").unwrap_or(0));
+        w.field("mem_path_streams", rec.streams);
         w.field(
             "mem_path_stream_geomean_speedup",
-            format_args!("{:.2}", rec.f64("stream_geomean").unwrap_or(0.0)),
+            format_args!("{:.2}", rec.stream_geomean),
         );
     }
     w.field("cache", cache_line(&c));
@@ -530,20 +466,20 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     }
     if let Some(rec) = &step {
         w.array("step_mode_runs");
-        w.elems_block(&rec.text);
+        w.elems_block(&rec.rows);
         w.close();
     }
     if let Some((kernels, cells)) = &exec {
         w.array("exec_dispatch_kernels");
-        w.elems_block(&kernels.text);
+        w.elems_block(&kernels.rows);
         w.close();
         w.array("exec_mode_runs");
-        w.elems_block(&cells.text);
+        w.elems_block(&cells.rows);
         w.close();
     }
     if let Some(rec) = &mem {
         w.array("mem_path_runs");
-        w.elems_block(&rec.text);
+        w.elems_block(&rec.rows);
         w.close();
     }
     let json = w.finish();
@@ -558,29 +494,25 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
          {cells_served} served",
         c.workers(),
     );
-    if let Some(rec) = &step {
+    if let Some(StepSection { summary: s, .. }) = &step {
         let _ = write!(
             headline,
             "; skip-ahead {:.2}x batch / {:.2}x geomean over {} cells",
-            rec.f64("batch_speedup").unwrap_or(0.0),
-            rec.f64("geomean_speedup").unwrap_or(0.0),
-            rec.num::<u64>("cells").unwrap_or(0),
+            s.batch_speedup, s.geomean_speedup, s.cells,
         );
     }
     if let Some((kernels, cells)) = &exec {
         let _ = write!(
             headline,
             "; decoded dispatch {:.2}x geomean, dense cells {:.2}x geomean",
-            kernels.f64("dispatch_geomean").unwrap_or(0.0),
-            cells.f64("dense_geomean_speedup").unwrap_or(0.0),
+            kernels.dispatch_geomean, cells.summary.dense_geomean_speedup,
         );
     }
     if let Some(rec) = &mem {
         let _ = write!(
             headline,
             "; mem-path micro {:.2}x geomean over {} streams",
-            rec.f64("stream_geomean").unwrap_or(0.0),
-            rec.num::<u64>("streams").unwrap_or(0),
+            rec.stream_geomean, rec.streams,
         );
     }
     headline.push(')');
@@ -607,15 +539,8 @@ pub fn cache_line(c: &Campaign) -> String {
         let _ = write!(
             line,
             ", \"store_hits\": {}, \"store_misses\": {}, \"store_puts\": {}, \
-             \"batches_appended\": {}, \"compactions\": {}, \"resident_batches\": {}, \
-             \"resident_entries\": {}",
-            s.hits,
-            s.misses,
-            s.puts,
-            s.batches_appended,
-            s.compactions,
-            s.resident_batches,
-            s.resident_entries,
+             \"loaded_entries\": {}, \"resident_entries\": {}",
+            s.hits, s.misses, s.puts, s.loaded_entries, s.resident_entries,
         );
     }
     line.push('}');

@@ -33,7 +33,7 @@
 //! [`ExecMode::Decoded`]: lightwsp_sim::ExecMode::Decoded
 
 use crate::stepmode::Cell;
-use lightwsp_core::{Experiment, ExperimentOptions, Scheme};
+use lightwsp_core::{record_codec, Experiment, ExperimentOptions, Scheme};
 use lightwsp_ir::{DecodedProgram, DynEvent, Interp, Memory, Program};
 use lightwsp_sim::ExecMode;
 use lightwsp_workloads::{all_workloads, workload, WorkloadSpec};
@@ -77,22 +77,24 @@ impl CellTiming {
     }
 }
 
-/// Aggregates over a timed cell set.
-pub struct Summary {
-    /// Number of cells.
-    pub cells: usize,
-    /// Total reference wall seconds (sum of per-cell bests).
-    pub reference_s: f64,
-    /// Total decoded wall seconds.
-    pub decoded_s: f64,
-    /// Batch wall-time ratio (time-weighted speedup).
-    pub batch_speedup: f64,
-    /// Geometric mean of the per-cell speedups, all cells.
-    pub geomean_speedup: f64,
-    /// Number of compute-dense cells.
-    pub dense_cells: usize,
-    /// Geometric mean over the compute-dense subset — the gated number.
-    pub dense_geomean_speedup: f64,
+record_codec! {
+    /// Aggregates over a timed cell set.
+    pub struct Summary {
+        /// Number of cells.
+        pub cells: usize,
+        /// Total reference wall seconds (sum of per-cell bests).
+        pub reference_s: f64,
+        /// Total decoded wall seconds.
+        pub decoded_s: f64,
+        /// Batch wall-time ratio (time-weighted speedup).
+        pub batch_speedup: f64,
+        /// Geometric mean of the per-cell speedups, all cells.
+        pub geomean_speedup: f64,
+        /// Number of compute-dense cells.
+        pub dense_cells: usize,
+        /// Geometric mean over the compute-dense subset — the gated number.
+        pub dense_geomean_speedup: f64,
+    }
 }
 
 /// The single-thread cells of Fig. 7 (every workload × Baseline,

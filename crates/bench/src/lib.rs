@@ -21,13 +21,18 @@
 //! | `tab_cam_latency` | §V-G2 — CAM search latency |
 //! | `tab_region_stats` | §V-G3 — instruction count & region statistics |
 //! | `tab_hw_cost` | §V-G4 — hardware cost comparison |
+//! | `tab_jit_energy` | §II-C1 — JIT-checkpointing feasibility per PSU class vs LightWSP's battery |
+//! | `ablations` | DESIGN.md §5 — LRPO vs sfence, region extension, pruning, combining |
+//! | `mc_scaling` | extension — 1 to 4 memory controllers, Capri vs LightWSP |
 //! | `recovery_check` | §IV-F — crash-consistency validation sweep |
 //! | `crash_audit` | `RECOVERY.md` — seeded & derived crash-point audit, `BENCH_crash.json` |
 //! | `model_litmus` | LRPO model litmus/fuzz differential sweep, fork-vs-rerun timing |
 //! | `ds_service` | `docs/DATASTRUCTURES.md` — recoverable-DS + KV/queue service crash audit, `BENCH_ds.json` |
 //! | `sweep_smoke` | CI perf gate: fork-mode crash sweep must beat rerun |
 //! | `exec_smoke` | CI perf gate: decoded engine ≥2x geomean on compute-dense Fig. 7 cells |
-//! | `all_figures` | everything above, into `results/` |
+//! | `step_smoke` | CI perf gate: skip-ahead must beat the per-cycle stepper on Fig. 7/11 cells |
+//! | `mem_smoke` | CI perf gate: fast-path cache model and dense-cell floors |
+//! | `all_figures` | every figure and table above, into `results/` and `BENCH_eval.json` |
 //!
 //! Every binary accepts `--quick` (reduced instruction budget for smoke
 //! runs) and writes both stdout and `results/<id>.txt`.

@@ -11,7 +11,7 @@
 //!
 //! [`Machine::run`]: lightwsp_sim::Machine::run
 
-use lightwsp_core::{Experiment, ExperimentOptions, Scheme, WorkloadSpec};
+use lightwsp_core::{record_codec, Experiment, ExperimentOptions, Scheme, WorkloadSpec};
 use lightwsp_sim::StepMode;
 use lightwsp_workloads::{all_workloads, suite_workloads, Suite};
 use std::time::Instant;
@@ -51,18 +51,20 @@ impl CellTiming {
     }
 }
 
-/// Aggregates over a timed cell set.
-pub struct Summary {
-    /// Number of cells.
-    pub cells: usize,
-    /// Total reference wall seconds (sum of per-cell bests).
-    pub reference_s: f64,
-    /// Total skip-ahead wall seconds.
-    pub skip_ahead_s: f64,
-    /// Batch wall-time ratio (time-weighted speedup).
-    pub batch_speedup: f64,
-    /// Geometric mean of the per-cell speedups.
-    pub geomean_speedup: f64,
+record_codec! {
+    /// Aggregates over a timed cell set.
+    pub struct Summary {
+        /// Number of cells.
+        pub cells: usize,
+        /// Total reference wall seconds (sum of per-cell bests).
+        pub reference_s: f64,
+        /// Total skip-ahead wall seconds.
+        pub skip_ahead_s: f64,
+        /// Batch wall-time ratio (time-weighted speedup).
+        pub batch_speedup: f64,
+        /// Geometric mean of the per-cell speedups.
+        pub geomean_speedup: f64,
+    }
 }
 
 /// The single-thread cells behind Fig. 7 (every workload × Baseline,

@@ -1,116 +1,27 @@
 //! Digest-keyed result caching on top of [`lightwsp_store`].
 //!
-//! The store holds opaque string payloads; this module owns the codecs
-//! that turn the evaluation's result types into those payloads and
-//! back, plus the [`memo_record`] discipline every cached computation
-//! follows:
+//! Every stored value implements the store's field-list [`Codec`]; the
+//! record shapes below are declared with [`record_codec!`].
+//! [`memo_record`] is the discipline every cached computation follows:
+//! errors are never cached; a record that fails to decode is a miss
+//! and is overwritten, never trusted; and wall-clocks are part of the
+//! record (`f64` as bit patterns), so a warm run replays the cold
+//! run's timings and `BENCH_*.json` stays byte-identical.
 //!
-//! * **errors are never cached** — a failed golden run or extraction is
-//!   recomputed every time;
-//! * **corrupt records fall back to recompute** — a record that fails
-//!   to decode (e.g. written by a future format) is treated as a miss
-//!   and overwritten, never trusted;
-//! * **wall-clock values are part of the record** — a warm run serves
-//!   the cold run's measured timings verbatim, which is what makes
-//!   `BENCH_*.json` byte-identical across warm re-runs.
-//!
-//! Record families (the `kind` field of [`StoreKey`]): `"run"` (whole
-//! simulation runs, written by [`Campaign`](crate::Campaign)),
-//! `"crashcell"` ([`CrashCellRecord`]), `"dscell"` ([`DsCellRecord`]),
-//! `"case"` ([`CaseRecord`]), `"sweeprep"` ([`SweepRecord`]),
-//! `"killmatrix"` ([`MutantKillRecord`] lists), `"section"` /
-//! `"metawall"` ([`TextRecord`], used by the `all_figures` harness for
-//! memoized timing sections and meta wall-clock fields).
+//! Record families (the `kind` of [`StoreKey`]): `"run"`
+//! ([`Campaign`](crate::Campaign)), `"crashcell"` ([`CrashCellRecord`]),
+//! `"dscell"` ([`DsCellRecord`]), `"case"` ([`CaseOutcome`]),
+//! `"sweeprep"` ([`SweepRecord`]), `"killmatrix"` ([`MutantKillRecord`]
+//! lists), `"section"` / `"metawall"` (the bins' timing sections and
+//! wall-clocks).
 
 use crate::dsaudit::DsAuditReport;
+use crate::oracle::SweepReport;
 use lightwsp_model::harness::CaseOutcome;
 use lightwsp_sim::CrashAuditReport;
-use lightwsp_store::{ResultStore, StoreKey};
-use std::collections::BTreeMap;
+use lightwsp_store::{record_codec, Codec, ResultStore, StoreKey};
 
 pub use lightwsp_store::{code_digest, code_digest_from_env, digest_debug, digest_str};
-
-/// Escapes whitespace and backslashes, so escaped strings are safe
-/// both as one-line list items and as `kv_line` values (which split on
-/// whitespace).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            ' ' => out.push_str("\\s"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`esc`].
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('s') => out.push(' '),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// Renders `name=value` pairs as one line (values must not contain
-/// whitespace; strings go through [`esc`] plus their own field rules).
-fn kv_line(pairs: &[(&str, String)]) -> String {
-    pairs
-        .iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Parses a [`kv_line`].
-fn parse_kv(line: &str) -> Result<BTreeMap<&str, &str>, String> {
-    let mut map = BTreeMap::new();
-    for pair in line.split_whitespace() {
-        let (k, v) = pair
-            .split_once('=')
-            .ok_or_else(|| format!("malformed kv pair {pair:?}"))?;
-        map.insert(k, v);
-    }
-    Ok(map)
-}
-
-fn kv_get<T: std::str::FromStr>(map: &BTreeMap<&str, &str>, name: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    map.get(name)
-        .ok_or_else(|| format!("missing field {name}"))?
-        .parse()
-        .map_err(|e| format!("field {name}: {e}"))
-}
-
-/// Encodes an `f64` as its bit pattern (decoding is bit-exact; stored
-/// wall-clocks must reproduce the cold run's rendering digit-for-digit).
-pub fn f64_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Inverse of [`f64_bits`].
-pub fn f64_from_bits(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bits {s:?}: {e}"))
-}
 
 /// The caching discipline: serve `key` from `store` when present and
 /// decodable, otherwise compute, record on success, and return. The
@@ -120,96 +31,57 @@ pub fn f64_from_bits(s: &str) -> Result<f64, String> {
 /// # Errors
 ///
 /// Propagates `compute`'s error (errors are never cached).
-pub fn memo_record<T, E>(
+pub fn memo_record<T: Codec, E>(
     store: Option<&ResultStore>,
     key: &StoreKey,
-    decode: impl Fn(&str) -> Result<T, String>,
-    encode: impl Fn(&T) -> String,
     compute: impl FnOnce() -> Result<T, E>,
 ) -> Result<(T, bool), E> {
-    if let Some(store) = store {
-        if let Some(raw) = store.get(key) {
-            if let Ok(v) = decode(&raw) {
-                return Ok((v, true));
-            }
-        }
-        let v = compute()?;
-        store.put(key.clone(), encode(&v));
-        Ok((v, false))
-    } else {
-        compute().map(|v| (v, false))
+    let Some(store) = store else {
+        return compute().map(|v| (v, false));
+    };
+    if let Some(v) = store.get(key).and_then(|raw| T::decode(&raw).ok()) {
+        return Ok((v, true));
     }
+    let v = compute()?;
+    store.put(key.clone(), v.encode());
+    Ok((v, false))
 }
 
 /// [`memo_record`] for infallible computations.
-pub fn memo_value<T>(
+pub fn memo_value<T: Codec>(
     store: Option<&ResultStore>,
     key: &StoreKey,
-    decode: impl Fn(&str) -> Result<T, String>,
-    encode: impl Fn(&T) -> String,
     compute: impl FnOnce() -> T,
 ) -> (T, bool) {
-    let r: Result<(T, bool), std::convert::Infallible> =
-        memo_record(store, key, decode, encode, || Ok(compute()));
-    match r {
-        Ok(v) => v,
-        Err(e) => match e {},
+    let Ok(v) = memo_record(store, key, || Ok::<T, std::convert::Infallible>(compute()));
+    v
+}
+
+record_codec! {
+    /// The stored shape of one crash-audit cell: everything
+    /// `crash_audit`'s report/JSON emission reads from a
+    /// [`CrashAuditReport`], with violations flattened to display strings.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CrashCellRecord {
+        /// Points requested.
+        pub points: usize,
+        /// Points that actually interrupted the run.
+        pub audited: usize,
+        /// Points past the end of the run.
+        pub beyond_end: usize,
+        /// Audited points per crash-point kind.
+        pub audited_by_kind: Vec<usize>,
+        /// Rendered invariant violations (empty = contract held).
+        pub violations: Vec<String>,
+        /// WPQ entries battery-flushed across audited failures.
+        pub entries_flushed: u64,
+        /// WPQ entries discarded across audited failures.
+        pub entries_discarded: u64,
+        /// Undo-log rollbacks applied across audited failures.
+        pub undo_rolled_back: u64,
+        /// Cycles of the failure-free golden run.
+        pub golden_cycles: u64,
     }
-}
-
-fn list_lines(out: &mut String, tag: &str, items: &[String]) {
-    for item in items {
-        out.push('\n');
-        out.push_str(tag);
-        out.push('\t');
-        out.push_str(&esc(item));
-    }
-}
-
-fn split_record(text: &str) -> (&str, Vec<(&str, String)>) {
-    let mut lines = text.lines();
-    let head = lines.next().unwrap_or("");
-    let items = lines
-        .filter_map(|l| l.split_once('\t').map(|(tag, v)| (tag, unesc(v))))
-        .collect();
-    (head, items)
-}
-
-fn take_list(items: &[(&str, String)], tag: &str) -> Vec<String> {
-    items
-        .iter()
-        .filter(|(t, _)| *t == tag)
-        .map(|(_, v)| v.clone())
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Crash-audit cells
-// ---------------------------------------------------------------------
-
-/// The stored shape of one crash-audit cell: everything
-/// `crash_audit`'s report/JSON emission reads from a
-/// [`CrashAuditReport`], with violations flattened to display strings.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CrashCellRecord {
-    /// Points requested.
-    pub points: usize,
-    /// Points that actually interrupted the run.
-    pub audited: usize,
-    /// Points past the end of the run.
-    pub beyond_end: usize,
-    /// Audited points per crash-point kind.
-    pub audited_by_kind: [usize; 6],
-    /// Rendered invariant violations (empty = contract held).
-    pub violations: Vec<String>,
-    /// WPQ entries battery-flushed across audited failures.
-    pub entries_flushed: u64,
-    /// WPQ entries discarded across audited failures.
-    pub entries_discarded: u64,
-    /// Undo-log rollbacks applied across audited failures.
-    pub undo_rolled_back: u64,
-    /// Cycles of the failure-free golden run.
-    pub golden_cycles: u64,
 }
 
 impl From<&CrashAuditReport> for CrashCellRecord {
@@ -218,7 +90,7 @@ impl From<&CrashAuditReport> for CrashCellRecord {
             points: r.points,
             audited: r.audited,
             beyond_end: r.beyond_end,
-            audited_by_kind: r.audited_by_kind,
+            audited_by_kind: r.audited_by_kind.to_vec(),
             violations: r.violations.iter().map(|v| v.to_string()).collect(),
             entries_flushed: r.entries_flushed,
             entries_discarded: r.entries_discarded,
@@ -228,85 +100,28 @@ impl From<&CrashAuditReport> for CrashCellRecord {
     }
 }
 
-impl CrashCellRecord {
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
-        let mut out = kv_line(&[
-            ("points", self.points.to_string()),
-            ("audited", self.audited.to_string()),
-            ("beyond_end", self.beyond_end.to_string()),
-            (
-                "by_kind",
-                self.audited_by_kind
-                    .iter()
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ),
-            ("entries_flushed", self.entries_flushed.to_string()),
-            ("entries_discarded", self.entries_discarded.to_string()),
-            ("undo_rolled_back", self.undo_rolled_back.to_string()),
-            ("golden_cycles", self.golden_cycles.to_string()),
-        ]);
-        list_lines(&mut out, "v", &self.violations);
-        out
+record_codec! {
+    /// The stored shape of one recoverable-DS audit cell (see
+    /// [`DsAuditReport`]).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct DsCellRecord {
+        /// Structure name.
+        pub name: String,
+        /// Points prepared.
+        pub points: usize,
+        /// Points audited.
+        pub audited: usize,
+        /// Points past the end of the run.
+        pub beyond_end: usize,
+        /// Audited points resumed to completion.
+        pub resumed: usize,
+        /// Cycles of the failure-free run.
+        pub golden_cycles: u64,
+        /// Generic recovery-contract violations, rendered.
+        pub gate_violations: Vec<String>,
+        /// Structure-invariant violations.
+        pub ds_violations: Vec<String>,
     }
-
-    /// Parses [`CrashCellRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<CrashCellRecord, String> {
-        let (head, items) = split_record(text);
-        let map = parse_kv(head)?;
-        let by_kind_raw: String = kv_get(&map, "by_kind")?;
-        let mut audited_by_kind = [0usize; 6];
-        let parts: Vec<&str> = by_kind_raw.split(',').collect();
-        if parts.len() != 6 {
-            return Err(format!("by_kind needs 6 entries, got {}", parts.len()));
-        }
-        for (slot, p) in audited_by_kind.iter_mut().zip(parts) {
-            *slot = p.parse().map_err(|e| format!("by_kind: {e}"))?;
-        }
-        Ok(CrashCellRecord {
-            points: kv_get(&map, "points")?,
-            audited: kv_get(&map, "audited")?,
-            beyond_end: kv_get(&map, "beyond_end")?,
-            audited_by_kind,
-            violations: take_list(&items, "v"),
-            entries_flushed: kv_get(&map, "entries_flushed")?,
-            entries_discarded: kv_get(&map, "entries_discarded")?,
-            undo_rolled_back: kv_get(&map, "undo_rolled_back")?,
-            golden_cycles: kv_get(&map, "golden_cycles")?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Data-structure audit cells
-// ---------------------------------------------------------------------
-
-/// The stored shape of one recoverable-DS audit cell (see
-/// [`DsAuditReport`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DsCellRecord {
-    /// Structure name.
-    pub name: String,
-    /// Points prepared.
-    pub points: usize,
-    /// Points audited.
-    pub audited: usize,
-    /// Points past the end of the run.
-    pub beyond_end: usize,
-    /// Audited points resumed to completion.
-    pub resumed: usize,
-    /// Cycles of the failure-free run.
-    pub golden_cycles: u64,
-    /// Generic recovery-contract violations, rendered.
-    pub gate_violations: Vec<String>,
-    /// Structure-invariant violations.
-    pub ds_violations: Vec<String>,
 }
 
 impl From<&DsAuditReport> for DsCellRecord {
@@ -329,397 +144,29 @@ impl DsCellRecord {
     pub fn violations(&self) -> usize {
         self.gate_violations.len() + self.ds_violations.len()
     }
+}
 
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
-        let mut out = kv_line(&[
-            ("name", esc(&self.name)),
-            ("points", self.points.to_string()),
-            ("audited", self.audited.to_string()),
-            ("beyond_end", self.beyond_end.to_string()),
-            ("resumed", self.resumed.to_string()),
-            ("golden_cycles", self.golden_cycles.to_string()),
-        ]);
-        list_lines(&mut out, "g", &self.gate_violations);
-        list_lines(&mut out, "d", &self.ds_violations);
-        out
-    }
-
-    /// Parses [`DsCellRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<DsCellRecord, String> {
-        let (head, items) = split_record(text);
-        let map = parse_kv(head)?;
-        Ok(DsCellRecord {
-            name: unesc(map.get("name").ok_or("missing field name")?),
-            points: kv_get(&map, "points")?,
-            audited: kv_get(&map, "audited")?,
-            beyond_end: kv_get(&map, "beyond_end")?,
-            resumed: kv_get(&map, "resumed")?,
-            golden_cycles: kv_get(&map, "golden_cycles")?,
-            gate_violations: take_list(&items, "g"),
-            ds_violations: take_list(&items, "d"),
-        })
+record_codec! {
+    /// The stored shape of a sweep: its aggregate report plus the
+    /// per-case outcomes (litmus sweeps; empty for fuzz).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SweepRecord {
+        /// The aggregate.
+        pub report: SweepReport,
+        /// Per-case outcomes, in suite order.
+        pub outcomes: Vec<CaseOutcome>,
     }
 }
 
-// ---------------------------------------------------------------------
-// Model-oracle cases and sweep reports
-// ---------------------------------------------------------------------
-
-/// The stored shape of one mutant-model verdict
-/// ([`lightwsp_model::MutantModelRow`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct MutantModelRecord {
-    /// Mutant name (`drop_ack_order` & co).
-    pub name: String,
-    /// Size of the mutant's admitted set (`None` when its enumeration
-    /// cap was exceeded).
-    pub count: Option<u128>,
-    /// True when the case's fully-witnessed sweep falsified the mutant.
-    pub killed: bool,
-}
-
-impl MutantModelRecord {
-    fn render(&self) -> String {
-        format!(
-            "{}/{}/{}",
-            self.name,
-            self.count.map_or("-".to_string(), |c| c.to_string()),
-            if self.killed { "killed" } else { "alive" }
-        )
+record_codec! {
+    /// One row of the stored mutant kill matrix.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct MutantKillRecord {
+        /// Mutant name (see [`crate::oracle::mutant_name`]).
+        pub mutant: String,
+        /// `litmus/detector` strings that flagged it.
+        pub killed_by: Vec<String>,
     }
-
-    fn parse(s: &str) -> Result<MutantModelRecord, String> {
-        let mut it = s.split('/');
-        let name = it.next().ok_or("empty mutant row")?.to_string();
-        let count = match it.next().ok_or("mutant row missing count")? {
-            "-" => None,
-            c => Some(
-                c.parse::<u128>()
-                    .map_err(|e| format!("mutant count: {e}"))?,
-            ),
-        };
-        let killed = match it.next().ok_or("mutant row missing verdict")? {
-            "killed" => true,
-            "alive" => false,
-            other => return Err(format!("bad mutant verdict {other:?}")),
-        };
-        Ok(MutantModelRecord {
-            name,
-            count,
-            killed,
-        })
-    }
-}
-
-/// Comma-joins a bucket vector for a kv value (no whitespace).
-fn buckets_to_csv(v: &[u64]) -> String {
-    v.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Inverse of [`buckets_to_csv`]; an empty string is an empty vector.
-fn csv_to_buckets(s: &str) -> Result<Vec<u64>, String> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|x| x.parse::<u64>().map_err(|e| format!("bucket: {e}")))
-        .collect()
-}
-
-/// The stored shape of one model-harness [`CaseOutcome`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CaseRecord {
-    /// Case name.
-    pub name: String,
-    /// Crash points requested.
-    pub points: usize,
-    /// Points that actually interrupted the run.
-    pub audited: usize,
-    /// Size of the over-approximate admitted set.
-    pub admitted: u128,
-    /// Size of the exact admitted set (exact-mode sweeps only).
-    pub exact_admitted: Option<u128>,
-    /// Distinct canonical images observed.
-    pub witnessed: usize,
-    /// Witnessed images with a cross-thread prefix combination.
-    pub witnessed_cross_thread: usize,
-    /// Witnessed images per thread-count bucket.
-    pub witnessed_buckets: Vec<u64>,
-    /// Exact admitted images per thread-count bucket (exact mode only).
-    pub exact_buckets: Option<Vec<u64>>,
-    /// Mutant-model verdicts (exact mode only).
-    pub model_mutants: Vec<MutantModelRecord>,
-    /// Images outside the admitted set.
-    pub model_violations: Vec<String>,
-    /// Structural invariant violations.
-    pub structural_violations: Vec<String>,
-}
-
-impl From<&CaseOutcome> for CaseRecord {
-    fn from(o: &CaseOutcome) -> CaseRecord {
-        CaseRecord {
-            name: o.name.clone(),
-            points: o.points,
-            audited: o.audited,
-            admitted: o.admitted,
-            exact_admitted: o.exact_admitted,
-            witnessed: o.witnessed,
-            witnessed_cross_thread: o.witnessed_cross_thread,
-            witnessed_buckets: o.witnessed_buckets.clone(),
-            exact_buckets: o.exact_buckets.clone(),
-            model_mutants: o
-                .model_mutants
-                .iter()
-                .map(|m| MutantModelRecord {
-                    name: m.name.clone(),
-                    count: m.count,
-                    killed: m.killed,
-                })
-                .collect(),
-            model_violations: o.model_violations.clone(),
-            structural_violations: o.structural_violations.clone(),
-        }
-    }
-}
-
-impl CaseRecord {
-    /// Unwitnessed admitted images under the mode's own set (see
-    /// [`CaseOutcome::overapprox`]).
-    pub fn overapprox(&self) -> u128 {
-        self.exact_admitted
-            .unwrap_or(self.admitted)
-            .saturating_sub(self.witnessed as u128)
-    }
-
-    /// Over-approximate images the exact mode excluded (0 when the
-    /// sweep ran over-approximate).
-    pub fn exact_delta(&self) -> u128 {
-        self.exact_admitted
-            .map_or(0, |e| self.admitted.saturating_sub(e))
-    }
-
-    /// True when the sweep witnessed the whole exact set cleanly.
-    pub fn exact_fully_witnessed(&self) -> bool {
-        self.model_violations.is_empty() && self.exact_admitted == Some(self.witnessed as u128)
-    }
-
-    /// Total violation count.
-    pub fn violations(&self) -> usize {
-        self.model_violations.len() + self.structural_violations.len()
-    }
-
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
-        let mut pairs = vec![
-            ("name", esc(&self.name)),
-            ("points", self.points.to_string()),
-            ("audited", self.audited.to_string()),
-            ("admitted", self.admitted.to_string()),
-            ("witnessed", self.witnessed.to_string()),
-            ("cross", self.witnessed_cross_thread.to_string()),
-            ("wbuckets", buckets_to_csv(&self.witnessed_buckets)),
-        ];
-        if let Some(e) = self.exact_admitted {
-            pairs.push(("exact", e.to_string()));
-        }
-        if let Some(eb) = &self.exact_buckets {
-            pairs.push(("ebuckets", buckets_to_csv(eb)));
-        }
-        let mut out = kv_line(&pairs);
-        list_lines(
-            &mut out,
-            "mm",
-            &self
-                .model_mutants
-                .iter()
-                .map(MutantModelRecord::render)
-                .collect::<Vec<_>>(),
-        );
-        list_lines(&mut out, "m", &self.model_violations);
-        list_lines(&mut out, "s", &self.structural_violations);
-        out
-    }
-
-    /// Parses [`CaseRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<CaseRecord, String> {
-        let (head, items) = split_record(text);
-        let map = parse_kv(head)?;
-        Ok(CaseRecord {
-            name: unesc(map.get("name").ok_or("missing field name")?),
-            points: kv_get(&map, "points")?,
-            audited: kv_get(&map, "audited")?,
-            admitted: kv_get(&map, "admitted")?,
-            exact_admitted: match map.get("exact") {
-                Some(v) => Some(v.parse().map_err(|e| format!("field exact: {e}"))?),
-                None => None,
-            },
-            witnessed: kv_get(&map, "witnessed")?,
-            witnessed_cross_thread: kv_get(&map, "cross")?,
-            witnessed_buckets: csv_to_buckets(map.get("wbuckets").copied().unwrap_or(""))?,
-            exact_buckets: match map.get("ebuckets") {
-                Some(v) => Some(csv_to_buckets(v)?),
-                None => None,
-            },
-            model_mutants: take_list(&items, "mm")
-                .iter()
-                .map(|s| MutantModelRecord::parse(s))
-                .collect::<Result<_, _>>()?,
-            model_violations: take_list(&items, "m"),
-            structural_violations: take_list(&items, "s"),
-        })
-    }
-
-    /// Encodes a whole outcome list (one record per `#`-prefixed
-    /// block) — litmus sweeps store their per-case outcomes alongside
-    /// the aggregate.
-    pub fn encode_list(records: &[CaseRecord]) -> String {
-        records
-            .iter()
-            .map(|r| r.encode())
-            .collect::<Vec<_>>()
-            .join("\n#\n")
-    }
-
-    /// Parses [`CaseRecord::encode_list`] output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first malformed block.
-    pub fn decode_list(text: &str) -> Result<Vec<CaseRecord>, String> {
-        if text.is_empty() {
-            return Ok(Vec::new());
-        }
-        text.split("\n#\n").map(CaseRecord::decode).collect()
-    }
-}
-
-/// The stored shape of an aggregate
-/// [`SweepReport`](crate::SweepReport), with its per-case outcomes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepRecord {
-    /// Cases run.
-    pub cases: usize,
-    /// Points requested across all cases.
-    pub points: usize,
-    /// Points audited.
-    pub audited: usize,
-    /// Sum of admitted-set sizes.
-    pub admitted: u128,
-    /// Sum of exact admitted-set sizes (0 for over-approximate sweeps).
-    pub exact_admitted: u128,
-    /// Cases whose exact set was fully witnessed violation-free.
-    pub exact_complete: usize,
-    /// Distinct images witnessed.
-    pub witnessed: usize,
-    /// Cross-thread witnessed images.
-    pub witnessed_cross_thread: usize,
-    /// Model violations across the sweep.
-    pub model_violations: Vec<String>,
-    /// Structural violations across the sweep.
-    pub structural_violations: Vec<String>,
-    /// Extraction errors across the sweep.
-    pub extract_errors: Vec<String>,
-    /// Per-case outcomes (litmus sweeps; empty for fuzz).
-    pub outcomes: Vec<CaseRecord>,
-}
-
-impl SweepRecord {
-    /// Builds from an aggregate report plus optional outcomes.
-    pub fn new(rep: &crate::SweepReport, outcomes: &[CaseOutcome]) -> SweepRecord {
-        SweepRecord {
-            cases: rep.cases,
-            points: rep.points,
-            audited: rep.audited,
-            admitted: rep.admitted,
-            exact_admitted: rep.exact_admitted,
-            exact_complete: rep.exact_complete,
-            witnessed: rep.witnessed,
-            witnessed_cross_thread: rep.witnessed_cross_thread,
-            model_violations: rep.model_violations.clone(),
-            structural_violations: rep.structural_violations.clone(),
-            extract_errors: rep.extract_errors.clone(),
-            outcomes: outcomes.iter().map(CaseRecord::from).collect(),
-        }
-    }
-
-    /// Total violation count (model + structural).
-    pub fn violations(&self) -> usize {
-        self.model_violations.len() + self.structural_violations.len()
-    }
-
-    /// Unwitnessed admitted images.
-    pub fn overapprox(&self) -> u128 {
-        self.admitted.saturating_sub(self.witnessed as u128)
-    }
-
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
-        let mut out = kv_line(&[
-            ("cases", self.cases.to_string()),
-            ("points", self.points.to_string()),
-            ("audited", self.audited.to_string()),
-            ("admitted", self.admitted.to_string()),
-            ("exact", self.exact_admitted.to_string()),
-            ("excomplete", self.exact_complete.to_string()),
-            ("witnessed", self.witnessed.to_string()),
-            ("cross", self.witnessed_cross_thread.to_string()),
-        ]);
-        list_lines(&mut out, "m", &self.model_violations);
-        list_lines(&mut out, "s", &self.structural_violations);
-        list_lines(&mut out, "e", &self.extract_errors);
-        out.push_str("\n##\n");
-        out.push_str(&CaseRecord::encode_list(&self.outcomes));
-        out
-    }
-
-    /// Parses [`SweepRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<SweepRecord, String> {
-        let (head_part, outcome_part) = match text.split_once("\n##\n") {
-            Some((h, o)) => (h, o),
-            None => (text, ""),
-        };
-        let (head, items) = split_record(head_part);
-        let map = parse_kv(head)?;
-        Ok(SweepRecord {
-            cases: kv_get(&map, "cases")?,
-            points: kv_get(&map, "points")?,
-            audited: kv_get(&map, "audited")?,
-            admitted: kv_get(&map, "admitted")?,
-            exact_admitted: kv_get(&map, "exact")?,
-            exact_complete: kv_get(&map, "excomplete")?,
-            witnessed: kv_get(&map, "witnessed")?,
-            witnessed_cross_thread: kv_get(&map, "cross")?,
-            model_violations: take_list(&items, "m"),
-            structural_violations: take_list(&items, "s"),
-            extract_errors: take_list(&items, "e"),
-            outcomes: CaseRecord::decode_list(outcome_part)?,
-        })
-    }
-}
-
-/// One row of the stored mutant kill matrix.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MutantKillRecord {
-    /// Mutant name (see [`crate::oracle::mutant_name`]).
-    pub mutant: String,
-    /// `litmus/detector` strings that flagged it.
-    pub killed_by: Vec<String>,
 }
 
 impl From<&crate::oracle::MutantKill> for MutantKillRecord {
@@ -740,131 +187,19 @@ impl MutantKillRecord {
     pub fn killed(&self) -> bool {
         !self.killed_by.is_empty()
     }
-
-    /// Serialises a whole matrix for the store.
-    pub fn encode_list(rows: &[MutantKillRecord]) -> String {
-        rows.iter()
-            .map(|r| {
-                let mut out = kv_line(&[("mutant", esc(&r.mutant))]);
-                list_lines(&mut out, "k", &r.killed_by);
-                out
-            })
-            .collect::<Vec<_>>()
-            .join("\n#\n")
-    }
-
-    /// Parses [`MutantKillRecord::encode_list`] output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first malformed row.
-    pub fn decode_list(text: &str) -> Result<Vec<MutantKillRecord>, String> {
-        if text.is_empty() {
-            return Ok(Vec::new());
-        }
-        text.split("\n#\n")
-            .map(|block| {
-                let (head, items) = split_record(block);
-                let map = parse_kv(head)?;
-                Ok(MutantKillRecord {
-                    mutant: unesc(map.get("mutant").ok_or("missing field mutant")?),
-                    killed_by: take_list(&items, "k"),
-                })
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Free-form sections (memoized timing blocks, meta wall-clocks)
-// ---------------------------------------------------------------------
-
-/// A stored record pairing named scalar fields with a free-form text
-/// body — the shape of `all_figures`' memoized timing sections (the
-/// body is the pre-rendered JSON array, the fields the summary numbers
-/// that feed `meta`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TextRecord {
-    /// Named scalar fields (stored verbatim; use [`f64_bits`] for
-    /// floats that must survive bit-exactly).
-    pub fields: BTreeMap<String, String>,
-    /// The text body.
-    pub text: String,
-}
-
-impl TextRecord {
-    /// Gets a field parsed via [`f64_from_bits`].
-    ///
-    /// # Errors
-    ///
-    /// Missing field or malformed bits.
-    pub fn f64(&self, name: &str) -> Result<f64, String> {
-        f64_from_bits(
-            self.fields
-                .get(name)
-                .ok_or_else(|| format!("missing {name}"))?,
-        )
-    }
-
-    /// Gets a field parsed with `FromStr`.
-    ///
-    /// # Errors
-    ///
-    /// Missing field or parse failure.
-    pub fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.fields
-            .get(name)
-            .ok_or_else(|| format!("missing {name}"))?
-            .parse()
-            .map_err(|e| format!("field {name}: {e}"))
-    }
-
-    /// Sets a scalar field.
-    pub fn set(&mut self, name: &str, value: impl ToString) {
-        self.fields.insert(name.to_string(), value.to_string());
-    }
-
-    /// Sets an `f64` field bit-exactly.
-    pub fn set_f64(&mut self, name: &str, value: f64) {
-        self.set(name, f64_bits(value));
-    }
-
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
-        let pairs: Vec<(&str, String)> = self
-            .fields
-            .iter()
-            .map(|(k, v)| (k.as_str(), esc(v)))
-            .collect();
-        format!("{}\n--\n{}", kv_line(&pairs), self.text)
-    }
-
-    /// Parses [`TextRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Malformed header line.
-    pub fn decode(text: &str) -> Result<TextRecord, String> {
-        let (head, body) = text
-            .split_once("\n--\n")
-            .ok_or("text record missing -- separator")?;
-        let fields = parse_kv(head)?
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), unesc(v)))
-            .collect();
-        Ok(TextRecord {
-            fields,
-            text: body.to_string(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightwsp_model::harness::MutantModelRow;
+
+    /// Asserts `v` survives an encode/decode round trip.
+    fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(v: &T) -> T {
+        let d = T::decode(&v.encode()).unwrap();
+        assert_eq!(&d, v);
+        d
+    }
 
     #[test]
     fn crash_cell_roundtrip() {
@@ -872,14 +207,14 @@ mod tests {
             points: 10,
             audited: 8,
             beyond_end: 2,
-            audited_by_kind: [1, 2, 3, 0, 1, 1],
+            audited_by_kind: vec![1, 2, 3, 0, 1, 1],
             violations: vec!["bad\nnews".into(), "worse\ttabs".into()],
             entries_flushed: 100,
             entries_discarded: 7,
             undo_rolled_back: 3,
             golden_cycles: 123_456,
         };
-        assert_eq!(CrashCellRecord::decode(&r.encode()).unwrap(), r);
+        roundtrip(&r);
         assert!(CrashCellRecord::decode("points=1").is_err());
     }
 
@@ -895,13 +230,12 @@ mod tests {
             gate_violations: vec![],
             ds_violations: vec!["stack-lost-op @cycle 42".into()],
         };
-        assert_eq!(DsCellRecord::decode(&r.encode()).unwrap(), r);
-        assert_eq!(r.violations(), 1);
+        assert_eq!(roundtrip(&r).violations(), 1);
     }
 
     #[test]
     fn sweep_record_roundtrip_with_outcomes() {
-        let case = CaseRecord {
+        let case = CaseOutcome {
             name: "mp+boundary".into(),
             points: 100,
             audited: 90,
@@ -912,12 +246,12 @@ mod tests {
             witnessed_buckets: vec![1, 30, 9],
             exact_buckets: Some(vec![1, 31, 9]),
             model_mutants: vec![
-                MutantModelRecord {
+                MutantModelRow {
                     name: "drop_ack_order".into(),
                     count: Some(u128::from(u64::MAX) * 3),
                     killed: false,
                 },
-                MutantModelRecord {
+                MutantModelRow {
                     name: "unordered_prefixes".into(),
                     count: None,
                     killed: false,
@@ -928,31 +262,30 @@ mod tests {
         };
         assert_eq!(case.exact_delta(), u128::from(u64::MAX) * 3 - 41);
         assert!(!case.exact_fully_witnessed(), "41 exact vs 40 witnessed");
-        let r = SweepRecord {
+        let report = SweepReport {
             cases: 1,
             points: 100,
             audited: 90,
             admitted: case.admitted,
             exact_admitted: 41,
-            exact_complete: 0,
             witnessed: 40,
             witnessed_cross_thread: 5,
             model_violations: vec!["img outside set".into()],
-            structural_violations: vec![],
-            extract_errors: vec![],
-            outcomes: vec![case],
+            ..SweepReport::default()
         };
-        let d = SweepRecord::decode(&r.encode()).unwrap();
-        assert_eq!(d, r);
-        assert_eq!(d.violations(), 1);
-        assert!(d.overapprox() > 0);
+        let d = roundtrip(&SweepRecord {
+            report,
+            outcomes: vec![case],
+        });
+        assert_eq!(d.report.violations(), 1);
+        assert!(d.report.overapprox() > 0);
     }
 
     #[test]
     fn case_record_roundtrip_without_exact_fields() {
         // Over-approximate sweeps carry no exact fields; the record
         // must encode and decode without them.
-        let case = CaseRecord {
+        let case = CaseOutcome {
             name: "plain".into(),
             points: 10,
             audited: 10,
@@ -966,8 +299,7 @@ mod tests {
             model_violations: vec![],
             structural_violations: vec![],
         };
-        let d = CaseRecord::decode(&case.encode()).unwrap();
-        assert_eq!(d, case);
+        let d = roundtrip(&case);
         assert_eq!(d.exact_delta(), 0);
         assert_eq!(d.overapprox(), 1);
     }
@@ -984,62 +316,27 @@ mod tests {
                 killed_by: vec![],
             },
         ];
-        let d = MutantKillRecord::decode_list(&MutantKillRecord::encode_list(&rows)).unwrap();
-        assert_eq!(d, rows);
+        let d = roundtrip(&rows);
         assert!(d[0].killed() && !d[1].killed());
-    }
-
-    #[test]
-    fn text_record_roundtrip_and_f64() {
-        let mut r = TextRecord::default();
-        r.set_f64("wall_s", 1.234_567_8);
-        r.set("cells", 42u32);
-        r.text = "  {\"a\": 1},\n  {\"b\": 2}".into();
-        let d = TextRecord::decode(&r.encode()).unwrap();
-        assert_eq!(d, r);
-        assert_eq!(d.f64("wall_s").unwrap().to_bits(), 1.234_567_8f64.to_bits());
-        assert_eq!(d.num::<u32>("cells").unwrap(), 42);
     }
 
     #[test]
     fn memo_value_serves_and_falls_back_on_corrupt() {
         let store = ResultStore::in_memory_with(1);
-        let key = StoreKey::new("section", "x", "", 0, 0, 1);
-        let (v, hit) = memo_value(
-            Some(&store),
-            &key,
-            |s| Ok(s.to_string()),
-            |v: &String| v.clone(),
-            || "computed".to_string(),
-        );
-        assert!(!hit);
-        assert_eq!(v, "computed");
-        let (v, hit) = memo_value(
-            Some(&store),
-            &key,
-            |s| Ok(s.to_string()),
-            |v: &String| v.clone(),
-            || unreachable!("served"),
-        );
-        assert!(hit);
-        assert_eq!(v, "computed");
+        let key = StoreKey::new("metawall", "x", "wall", 0, 0, 1);
+        let (v, hit) = memo_value(Some(&store), &key, || 1.25f64);
+        assert_eq!((v, hit), (1.25, false));
+        assert_eq!(store.get(&key).as_deref(), Some("3ff4000000000000"));
+        let (v, hit) = memo_value(Some(&store), &key, || -> f64 { unreachable!("served") });
+        assert_eq!((v, hit), (1.25, true));
         // A record that fails decoding is recomputed and overwritten.
         store.put(key.clone(), "garbage".into());
-        let (v, hit) = memo_value(
-            Some(&store),
-            &key,
-            |s| {
-                if s == "garbage" {
-                    Err("corrupt".into())
-                } else {
-                    Ok(s.to_string())
-                }
-            },
-            |v: &String| v.clone(),
-            || "recomputed".to_string(),
-        );
-        assert!(!hit);
-        assert_eq!(v, "recomputed");
-        assert_eq!(store.get(&key).as_deref(), Some("recomputed"));
+        let (v, hit) = memo_value(Some(&store), &key, || 2.5f64);
+        assert_eq!((v, hit), (2.5, false));
+        assert_eq!(store.get(&key).as_deref(), Some("4004000000000000"));
+        // Errors are never cached.
+        let other = StoreKey::new("metawall", "y", "wall", 0, 0, 1);
+        assert!(memo_record(Some(&store), &other, || Err::<u64, _>("failed")).is_err());
+        assert_eq!(store.get(&other), None);
     }
 }

@@ -26,16 +26,28 @@
 //! Worker count: `LIGHTWSP_THREADS` env var if set, else
 //! `std::thread::available_parallelism()`.
 
+use crate::cache::memo_value;
 use crate::experiment::{ExperimentOptions, RunResult};
 use lightwsp_compiler::instrument;
 use lightwsp_compiler::prune::RecoveryRecipes;
 use lightwsp_ir::fxhash::{fx_hash, FxHashMap};
 use lightwsp_ir::Program;
-use lightwsp_sim::{Completion, Machine, Scheme};
-use lightwsp_store::{digest_debug, ResultStore, StoreKey};
+use lightwsp_sim::{Completion, Machine, Scheme, SimStats};
+use lightwsp_store::{digest_debug, record_codec, ResultStore, StoreKey};
 use lightwsp_workloads::WorkloadSpec;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+record_codec! {
+    /// The stored shape of one `"run"` record: the simulated result
+    /// (workload and scheme are in its key) plus its wall-clock.
+    struct RunRecord {
+        finished: bool,
+        threads: usize,
+        wall_ms: f64,
+        stats: SimStats,
+    }
+}
 
 /// One unit of work: simulate `spec` under `scheme` with `opts`.
 #[derive(Clone, Debug)]
@@ -249,49 +261,6 @@ impl Campaign {
         StoreKey::new("run", job.spec.name, job.scheme.name(), config, 0, code)
     }
 
-    /// Serialises a run result (+ measured wall-clock) for the store.
-    fn encode_run(r: &RunResult, wall_ms: f64) -> String {
-        format!(
-            "completion={} threads={} wall_ms={:016x}\n{}",
-            match r.completion {
-                Completion::Finished => "F",
-                Completion::MaxCycles => "M",
-            },
-            r.threads,
-            wall_ms.to_bits(),
-            r.stats.encode_record(),
-        )
-    }
-
-    /// Parses [`encode_run`](Campaign::encode_run) output back into a
-    /// result for `job` (workload/scheme come from the job, matching
-    /// the key the record was stored under).
-    fn decode_run(text: &str, job: &Job) -> Result<(RunResult, f64), String> {
-        let (head, stats_line) = text.split_once('\n').ok_or("run record missing stats")?;
-        let mut completion = None;
-        let mut threads = None;
-        let mut wall_bits = None;
-        for pair in head.split_whitespace() {
-            match pair.split_once('=') {
-                Some(("completion", "F")) => completion = Some(Completion::Finished),
-                Some(("completion", "M")) => completion = Some(Completion::MaxCycles),
-                Some(("threads", v)) => threads = v.parse().ok(),
-                Some(("wall_ms", v)) => wall_bits = u64::from_str_radix(v, 16).ok(),
-                _ => return Err(format!("bad run field {pair:?}")),
-            }
-        }
-        Ok((
-            RunResult {
-                workload: job.spec.name,
-                scheme: job.scheme,
-                threads: threads.ok_or("missing threads")?,
-                completion: completion.ok_or("missing completion")?,
-                stats: lightwsp_sim::SimStats::decode_record(stats_line)?,
-            },
-            f64::from_bits(wall_bits.ok_or("missing wall_ms")?),
-        ))
-    }
-
     /// The uncached simulation path (same semantics as
     /// `Experiment::run`, but through the shared compile cache).
     fn simulate(&self, job: &Job) -> RunResult {
@@ -325,25 +294,40 @@ impl Campaign {
     /// from the record on a store hit (warm re-runs reproduce the cold
     /// run's benchmark records byte-for-byte).
     pub fn run_one_timed(&self, job: &Job) -> (RunResult, f64) {
-        let Some(store) = &self.store else {
+        let timed = || {
             let t0 = std::time::Instant::now();
             let r = self.simulate(job);
             self.sim_computed.fetch_add(1, Ordering::Relaxed);
-            return (r, t0.elapsed().as_secs_f64() * 1e3);
+            (r, t0.elapsed().as_secs_f64() * 1e3)
         };
-        let key = Self::run_key(store.code(), job);
-        if let Some(raw) = store.get(&key) {
-            if let Ok(hit) = Self::decode_run(&raw, job) {
-                self.sim_served.fetch_add(1, Ordering::Relaxed);
-                return hit;
+        let Some(store) = &self.store else {
+            return timed();
+        };
+        let (rec, hit) = memo_value(Some(store), &Self::run_key(store.code(), job), || {
+            let (r, wall_ms) = timed();
+            RunRecord {
+                finished: r.completion == Completion::Finished,
+                threads: r.threads,
+                wall_ms,
+                stats: r.stats,
             }
+        });
+        if hit {
+            self.sim_served.fetch_add(1, Ordering::Relaxed);
         }
-        let t0 = std::time::Instant::now();
-        let r = self.simulate(job);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        store.put(key, Self::encode_run(&r, wall_ms));
-        self.sim_computed.fetch_add(1, Ordering::Relaxed);
-        (r, wall_ms)
+        let completion = if rec.finished {
+            Completion::Finished
+        } else {
+            Completion::MaxCycles
+        };
+        let r = RunResult {
+            workload: job.spec.name,
+            scheme: job.scheme,
+            threads: rec.threads,
+            completion,
+            stats: rec.stats,
+        };
+        (r, rec.wall_ms)
     }
 
     /// Baseline cycles for a job's (workload, options), cached.

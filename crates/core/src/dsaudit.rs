@@ -201,13 +201,9 @@ pub fn audit_recoverable_ds_cached(
         0,
         store.map_or(0, ResultStore::code),
     );
-    memo_record(
-        store,
-        &key,
-        DsCellRecord::decode,
-        DsCellRecord::encode,
-        || audit_recoverable_ds(ds, cfg, ccfg, budget, campaign).map(|r| (&r).into()),
-    )
+    memo_record(store, &key, || {
+        audit_recoverable_ds(ds, cfg, ccfg, budget, campaign).map(|r| (&r).into())
+    })
 }
 
 /// Audits one sorted chunk with a dedicated sweeper. `start` is the

@@ -43,8 +43,7 @@ pub mod recovery;
 pub mod report;
 
 pub use cache::{
-    memo_record, memo_value, CaseRecord, CrashCellRecord, DsCellRecord, MutantKillRecord,
-    SweepRecord, TextRecord,
+    memo_record, memo_value, CrashCellRecord, DsCellRecord, MutantKillRecord, SweepRecord,
 };
 pub use campaign::{Campaign, CampaignCacheStats, Job};
 pub use dsaudit::{
@@ -55,7 +54,8 @@ pub use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
 pub use lightwsp_model::harness::CaseOutcome;
 pub use lightwsp_sim::{Completion, Machine, Scheme, SimConfig, SimStats};
 pub use lightwsp_store::{
-    code_digest, code_digest_from_env, digest_debug, digest_str, CacheStats, ResultStore, StoreKey,
+    code_digest, code_digest_from_env, digest_debug, digest_str, record_codec, CacheStats, Codec,
+    ResultStore, StoreKey,
 };
 pub use lightwsp_workloads::{Suite, WorkloadSpec};
 pub use oracle::{

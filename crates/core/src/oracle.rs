@@ -6,44 +6,44 @@
 //! is embarrassingly parallel — cases share nothing — so the sweep
 //! scales with `LIGHTWSP_THREADS` exactly like the experiment harness.
 
-use crate::cache::{
-    digest_debug, memo_record, memo_value, CaseRecord, MutantKillRecord, SweepRecord,
-};
+use crate::cache::{digest_debug, memo_record, memo_value, MutantKillRecord, SweepRecord};
 use crate::campaign::Campaign;
 use lightwsp_compiler::Compiled;
 use lightwsp_model::harness::{run_case, CaseOutcome, CaseSpec, EnumMode, PointPolicy};
 use lightwsp_model::{gen_case_biased, litmus_suite, ExtractError, FuzzBias, ModelMutant};
 use lightwsp_sim::{GatingMutant, StepMode, SweepMode};
-use lightwsp_store::{ResultStore, StoreKey};
+use lightwsp_store::{record_codec, ResultStore, StoreKey};
 
-/// Aggregate of one sweep (litmus suite or a fuzz batch).
-#[derive(Clone, Debug, Default)]
-pub struct SweepReport {
-    /// Cases run.
-    pub cases: usize,
-    /// Crash points requested across all cases.
-    pub points: usize,
-    /// Points that actually interrupted a run.
-    pub audited: usize,
-    /// Sum of admitted-set sizes (saturating).
-    pub admitted: u128,
-    /// Sum of exact admitted-set sizes (0 for over-approximate sweeps).
-    pub exact_admitted: u128,
-    /// Cases whose exact set was fully witnessed violation-free — the
-    /// cases that pin the reachable set and arm mutant-model kills.
-    pub exact_complete: usize,
-    /// Distinct canonical images witnessed, summed over cases.
-    pub witnessed: usize,
-    /// Witnessed images realising a cross-thread prefix combination —
-    /// executions inside the documented over-approximation envelope.
-    pub witnessed_cross_thread: usize,
-    /// Images outside the admitted set (must be empty for a clean run).
-    pub model_violations: Vec<String>,
-    /// Structural invariant violations (must be empty for a clean run).
-    pub structural_violations: Vec<String>,
-    /// Cases outside the model's extraction domain (generator bug if
-    /// non-empty: both litmus and fuzz construct in-domain programs).
-    pub extract_errors: Vec<String>,
+record_codec! {
+    /// Aggregate of one sweep (litmus suite or a fuzz batch).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SweepReport {
+        /// Cases run.
+        pub cases: usize,
+        /// Crash points requested across all cases.
+        pub points: usize,
+        /// Points that actually interrupted a run.
+        pub audited: usize,
+        /// Sum of admitted-set sizes (saturating).
+        pub admitted: u128,
+        /// Sum of exact admitted-set sizes (0 for over-approximate sweeps).
+        pub exact_admitted: u128,
+        /// Cases whose exact set was fully witnessed violation-free — the
+        /// cases that pin the reachable set and arm mutant-model kills.
+        pub exact_complete: usize,
+        /// Distinct canonical images witnessed, summed over cases.
+        pub witnessed: usize,
+        /// Witnessed images realising a cross-thread prefix combination —
+        /// executions inside the documented over-approximation envelope.
+        pub witnessed_cross_thread: usize,
+        /// Images outside the admitted set (must be empty for a clean run).
+        pub model_violations: Vec<String>,
+        /// Structural invariant violations (must be empty for a clean run).
+        pub structural_violations: Vec<String>,
+        /// Cases outside the model's extraction domain (generator bug if
+        /// non-empty: both litmus and fuzz construct in-domain programs).
+        pub extract_errors: Vec<String>,
+    }
 }
 
 impl SweepReport {
@@ -254,7 +254,7 @@ pub fn mutant_kill_matrix(
 /// the litmuses whose fully-witnessed sweeps falsified it (tagged with
 /// the mutant's admitted-set size there). Pure aggregation — the
 /// verdicts were computed by `run_case`, so this costs no simulation.
-pub fn model_mutant_kill_matrix(outcomes: &[CaseRecord]) -> Vec<MutantKillRecord> {
+pub fn model_mutant_kill_matrix(outcomes: &[CaseOutcome]) -> Vec<MutantKillRecord> {
     ModelMutant::ALL
         .iter()
         .map(|m| {
@@ -300,7 +300,7 @@ pub fn run_case_cached(
     compiled: &Compiled,
     spec: &CaseSpec,
     case_digest: u64,
-) -> Result<(CaseRecord, bool), ExtractError> {
+) -> Result<(CaseOutcome, bool), ExtractError> {
     let key = StoreKey::new(
         "case",
         &spec.name,
@@ -309,9 +309,7 @@ pub fn run_case_cached(
         0,
         store.map_or(0, ResultStore::code),
     );
-    memo_record(store, &key, CaseRecord::decode, CaseRecord::encode, || {
-        run_case(compiled, spec).map(|out| (&out).into())
-    })
+    memo_record(store, &key, || run_case(compiled, spec))
 }
 
 /// Store-cached [`litmus_sweep`]: one record holds the aggregate plus
@@ -332,16 +330,10 @@ pub fn litmus_sweep_cached(
         0,
         store.map_or(0, ResultStore::code),
     );
-    memo_value(
-        store,
-        &key,
-        SweepRecord::decode,
-        SweepRecord::encode,
-        || {
-            let (rep, outcomes) = litmus_sweep(campaign, step_mode, sweep_mode, enum_mode);
-            SweepRecord::new(&rep, &outcomes)
-        },
-    )
+    memo_value(store, &key, || {
+        let (report, outcomes) = litmus_sweep(campaign, step_mode, sweep_mode, enum_mode);
+        SweepRecord { report, outcomes }
+    })
 }
 
 /// Store-cached [`fuzz_sweep`], keyed by the stream seed, case count
@@ -366,20 +358,15 @@ pub fn fuzz_sweep_cached(
         seed,
         store.map_or(0, ResultStore::code),
     );
-    memo_value(
-        store,
-        &key,
-        SweepRecord::decode,
-        SweepRecord::encode,
-        || {
-            SweepRecord::new(
-                &fuzz_sweep(
-                    campaign, seed, count, step_mode, sweep_mode, enum_mode, bias,
-                ),
-                &[],
-            )
-        },
-    )
+    memo_value(store, &key, || {
+        let report = fuzz_sweep(
+            campaign, seed, count, step_mode, sweep_mode, enum_mode, bias,
+        );
+        SweepRecord {
+            report,
+            outcomes: Vec::new(),
+        }
+    })
 }
 
 /// Store-cached [`mutant_kill_matrix`]: one record holds the whole
@@ -399,16 +386,10 @@ pub fn mutant_kill_matrix_cached(
         0,
         store.map_or(0, ResultStore::code),
     );
-    memo_value(
-        store,
-        &key,
-        MutantKillRecord::decode_list,
-        |rows| MutantKillRecord::encode_list(rows),
-        || {
-            mutant_kill_matrix(campaign, step_mode, sweep_mode, enum_mode)
-                .iter()
-                .map(MutantKillRecord::from)
-                .collect()
-        },
-    )
+    memo_value(store, &key, || {
+        mutant_kill_matrix(campaign, step_mode, sweep_mode, enum_mode)
+            .iter()
+            .map(MutantKillRecord::from)
+            .collect()
+    })
 }

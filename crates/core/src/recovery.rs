@@ -156,13 +156,9 @@ pub fn audit_workload_crashes_cached(
         0,
         store.map_or(0, ResultStore::code),
     );
-    memo_record(
-        store,
-        &key,
-        CrashCellRecord::decode,
-        CrashCellRecord::encode,
-        || audit_workload_crashes(spec, opts, cfg, budget, campaign).map(|r| (&r).into()),
-    )
+    memo_record(store, &key, || {
+        audit_workload_crashes(spec, opts, cfg, budget, campaign).map(|r| (&r).into())
+    })
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ use lightwsp_sim::crash::check_capture;
 use lightwsp_sim::{
     CrashInjector, CrashPoint, CrashPointKind, GatingMutant, Scheme, SimConfig, StepMode, SweepMode,
 };
+use lightwsp_store::record_codec;
 
 /// Interpreter step budget for extraction (litmus/fuzz programs are
 /// tiny; this is a runaway guard, not a tuning knob).
@@ -110,52 +111,56 @@ pub struct CaseSpec {
     pub seed: u64,
 }
 
-/// One mutant model's verdict on a case (exact mode only).
-#[derive(Clone, Debug)]
-pub struct MutantModelRow {
-    /// Mutant name ([`ModelMutant::name`]).
-    pub name: String,
-    /// Size of the mutant's admitted set (`None` when its enumeration
-    /// cap was exceeded).
-    pub count: Option<u128>,
-    /// True when the sweep's observed images falsify the mutant: the
-    /// entire exact set was witnessed violation-free, and the mutant
-    /// admits strictly more images — all provably unreachable.
-    pub killed: bool,
+record_codec! {
+    /// One mutant model's verdict on a case (exact mode only).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct MutantModelRow {
+        /// Mutant name ([`ModelMutant::name`]).
+        pub name: String,
+        /// Size of the mutant's admitted set (`None` when its enumeration
+        /// cap was exceeded).
+        pub count: Option<u128>,
+        /// True when the sweep's observed images falsify the mutant: the
+        /// entire exact set was witnessed violation-free, and the mutant
+        /// admits strictly more images — all provably unreachable.
+        pub killed: bool,
+    }
 }
 
-/// The outcome of one case.
-#[derive(Clone, Debug)]
-pub struct CaseOutcome {
-    /// Case name (copied from the spec).
-    pub name: String,
-    /// Crash points requested.
-    pub points: usize,
-    /// Points that actually interrupted the run.
-    pub audited: usize,
-    /// Size of the over-approximate admitted set (canonical images).
-    pub admitted: u128,
-    /// Size of the exact admitted set (exact mode only).
-    pub exact_admitted: Option<u128>,
-    /// Distinct canonical images observed across all audited points.
-    pub witnessed: usize,
-    /// Witnessed images that selected a non-trivial prefix on more than
-    /// one thread — real executions inside the cross-thread
-    /// over-approximation envelope.
-    pub witnessed_cross_thread: usize,
-    /// Witnessed images bucketed by how many threads contribute a
-    /// non-empty prefix; index `i` counts images touching exactly `i`
-    /// threads (length `threads + 1`).
-    pub witnessed_buckets: Vec<u64>,
-    /// The exact set bucketed the same way (exact mode only), so
-    /// coverage is auditable per bucket instead of lumped together.
-    pub exact_buckets: Option<Vec<u64>>,
-    /// Mutant-model verdicts (exact mode only).
-    pub model_mutants: Vec<MutantModelRow>,
-    /// Model violations: observed images outside the admitted set.
-    pub model_violations: Vec<String>,
-    /// Structural invariant violations (gate-flush & co).
-    pub structural_violations: Vec<String>,
+record_codec! {
+    /// The outcome of one case.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CaseOutcome {
+        /// Case name (copied from the spec).
+        pub name: String,
+        /// Crash points requested.
+        pub points: usize,
+        /// Points that actually interrupted the run.
+        pub audited: usize,
+        /// Size of the over-approximate admitted set (canonical images).
+        pub admitted: u128,
+        /// Size of the exact admitted set (exact mode only).
+        pub exact_admitted: Option<u128>,
+        /// Distinct canonical images observed across all audited points.
+        pub witnessed: usize,
+        /// Witnessed images that selected a non-trivial prefix on more than
+        /// one thread — real executions inside the cross-thread
+        /// over-approximation envelope.
+        pub witnessed_cross_thread: usize,
+        /// Witnessed images bucketed by how many threads contribute a
+        /// non-empty prefix; index `i` counts images touching exactly `i`
+        /// threads (length `threads + 1`).
+        pub witnessed_buckets: Vec<u64>,
+        /// The exact set bucketed the same way (exact mode only), so
+        /// coverage is auditable per bucket instead of lumped together.
+        pub exact_buckets: Option<Vec<u64>>,
+        /// Mutant-model verdicts (exact mode only).
+        pub model_mutants: Vec<MutantModelRow>,
+        /// Model violations: observed images outside the admitted set.
+        pub model_violations: Vec<String>,
+        /// Structural invariant violations (gate-flush & co).
+        pub structural_violations: Vec<String>,
+    }
 }
 
 impl CaseOutcome {
@@ -182,6 +187,11 @@ impl CaseOutcome {
     /// model violations — the precondition for mutant-model kills.
     pub fn exact_fully_witnessed(&self) -> bool {
         self.model_violations.is_empty() && self.exact_admitted == Some(self.witnessed as u128)
+    }
+
+    /// Total violation count (model + structural).
+    pub fn violations(&self) -> usize {
+        self.model_violations.len() + self.structural_violations.len()
     }
 
     /// True if any detector fired (for mutant runs: the kill verdict).

@@ -16,202 +16,94 @@ pub enum StallCause {
     LockSpin,
 }
 
-/// Counters accumulated over one simulation.
-///
-/// `PartialEq` compares every counter exactly (including the sampled
-/// `wpq_mean_occupancy`, whose numerator and denominator are integers in
-/// both step modes) — the step-mode parity suite relies on this to
-/// assert bit-identical results between `StepMode::Reference` and
-/// `StepMode::SkipAhead`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SimStats {
-    /// Total cycles simulated.
-    pub cycles: u64,
-    /// Retired instructions, including compiler instrumentation.
-    pub insts: u64,
-    /// Retired boundary/checkpoint instructions.
-    pub instrumentation_insts: u64,
-    /// Retired store-like instructions (persist-path entries).
-    pub persist_stores: u64,
-    /// Hardware checkpoint-slot repair stores emitted by forced region
-    /// closes (timeout / spin / halt), so every synthetic boundary is a
-    /// genuine recovery point.
-    pub forced_ckpt_stores: u64,
-    /// Stall cycles: store buffer full (persist back-pressure).
-    pub stall_sb_full: u64,
-    /// Stall cycles: load misses.
-    pub stall_load_miss: u64,
-    /// Stall cycles: boundary persistence waits (Capri/PPA).
-    pub stall_boundary_wait: u64,
-    /// Stall cycles: lock spinning.
-    pub stall_lock_spin: u64,
-    /// Regions executed (boundary events, including synthetic ones).
-    pub regions: u64,
-    /// Regions committed (fully persisted).
-    pub regions_committed: u64,
-    /// Sum over committed regions of (commit − boundary-issue) cycles.
-    pub persist_latency_sum: u64,
-    /// Instructions in completed regions (for insts/region, §V-G3).
-    pub region_insts_sum: u64,
-    /// Stores in completed regions (for stores/region, §V-G3).
-    pub region_stores_sum: u64,
-    /// WPQ overflow (deadlock fallback) events, §IV-D / §V-F5.
-    pub wpq_overflows: u64,
-    /// WPQ CAM hits on LLC load misses (Fig. 18).
-    pub wpq_load_hits: u64,
-    /// DRAM-cache (LLC) load misses that went to PM.
-    pub llc_load_misses: u64,
-    /// Stale-load hazards observed (snooping disabled only).
-    pub stale_loads: u64,
-    /// L1 eviction snoops (Table II).
-    pub snoops: u64,
-    /// L1 eviction snoops that hit a conflicting line (Table II).
-    pub snoop_conflicts: u64,
-    /// L1 hits aggregated over cores.
-    pub l1_hits: u64,
-    /// L1 misses aggregated over cores.
-    pub l1_misses: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// DRAM-cache hits.
-    pub dram_hits: u64,
-    /// DRAM-cache misses.
-    pub dram_misses: u64,
-    /// Persist-path head-of-line blocked cycles.
-    pub hol_blocked_cycles: u64,
-    /// Power failures injected.
-    pub failures: u64,
-    /// Instructions re-executed during recoveries.
-    pub reexecuted_insts: u64,
-    /// Estimated total exposed persistence latency `Tp` (Eq. 1 input).
-    pub tp_estimate: u64,
-    /// Mean WPQ occupancy across MCs (entries; sampled every cycle).
-    pub wpq_mean_occupancy: f64,
-    /// Peak WPQ occupancy across MCs (entries).
-    pub wpq_max_occupancy: usize,
-    /// I/O operations emitted (§IV-A), including post-failure replays.
-    pub io_ops: u64,
-}
-
-/// A stat-field value that can round-trip through the store's text
-/// record format.
-trait StatFieldCodec: Sized {
-    fn enc(&self) -> String;
-    fn dec(s: &str) -> Result<Self, String>;
-}
-
-impl StatFieldCodec for u64 {
-    fn enc(&self) -> String {
-        self.to_string()
-    }
-    fn dec(s: &str) -> Result<u64, String> {
-        s.parse().map_err(|e| format!("{e}: {s:?}"))
+lightwsp_store::record_codec! {
+    /// Counters accumulated over one simulation.
+    ///
+    /// `PartialEq` compares every counter exactly (including the sampled
+    /// `wpq_mean_occupancy`, whose numerator and denominator are integers in
+    /// both step modes) — the step-mode parity suite relies on this to
+    /// assert bit-identical results between `StepMode::Reference` and
+    /// `StepMode::SkipAhead`.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SimStats {
+        /// Total cycles simulated.
+        pub cycles: u64,
+        /// Retired instructions, including compiler instrumentation.
+        pub insts: u64,
+        /// Retired boundary/checkpoint instructions.
+        pub instrumentation_insts: u64,
+        /// Retired store-like instructions (persist-path entries).
+        pub persist_stores: u64,
+        /// Hardware checkpoint-slot repair stores emitted by forced region
+        /// closes (timeout / spin / halt), so every synthetic boundary is a
+        /// genuine recovery point.
+        pub forced_ckpt_stores: u64,
+        /// Stall cycles: store buffer full (persist back-pressure).
+        pub stall_sb_full: u64,
+        /// Stall cycles: load misses.
+        pub stall_load_miss: u64,
+        /// Stall cycles: boundary persistence waits (Capri/PPA).
+        pub stall_boundary_wait: u64,
+        /// Stall cycles: lock spinning.
+        pub stall_lock_spin: u64,
+        /// Regions executed (boundary events, including synthetic ones).
+        pub regions: u64,
+        /// Regions committed (fully persisted).
+        pub regions_committed: u64,
+        /// Sum over committed regions of (commit − boundary-issue) cycles.
+        pub persist_latency_sum: u64,
+        /// Instructions in completed regions (for insts/region, §V-G3).
+        pub region_insts_sum: u64,
+        /// Stores in completed regions (for stores/region, §V-G3).
+        pub region_stores_sum: u64,
+        /// WPQ overflow (deadlock fallback) events, §IV-D / §V-F5.
+        pub wpq_overflows: u64,
+        /// WPQ CAM hits on LLC load misses (Fig. 18).
+        pub wpq_load_hits: u64,
+        /// DRAM-cache (LLC) load misses that went to PM.
+        pub llc_load_misses: u64,
+        /// Stale-load hazards observed (snooping disabled only).
+        pub stale_loads: u64,
+        /// L1 eviction snoops (Table II).
+        pub snoops: u64,
+        /// L1 eviction snoops that hit a conflicting line (Table II).
+        pub snoop_conflicts: u64,
+        /// L1 hits aggregated over cores.
+        pub l1_hits: u64,
+        /// L1 misses aggregated over cores.
+        pub l1_misses: u64,
+        /// L2 hits.
+        pub l2_hits: u64,
+        /// L2 misses.
+        pub l2_misses: u64,
+        /// DRAM-cache hits.
+        pub dram_hits: u64,
+        /// DRAM-cache misses.
+        pub dram_misses: u64,
+        /// Persist-path head-of-line blocked cycles.
+        pub hol_blocked_cycles: u64,
+        /// Power failures injected.
+        pub failures: u64,
+        /// Instructions re-executed during recoveries.
+        pub reexecuted_insts: u64,
+        /// Estimated total exposed persistence latency `Tp` (Eq. 1 input).
+        pub tp_estimate: u64,
+        /// Mean WPQ occupancy across MCs (entries; sampled every cycle).
+        pub wpq_mean_occupancy: f64,
+        /// Peak WPQ occupancy across MCs (entries).
+        pub wpq_max_occupancy: usize,
+        /// I/O operations emitted (§IV-A), including post-failure replays.
+        pub io_ops: u64,
     }
 }
-
-impl StatFieldCodec for usize {
-    fn enc(&self) -> String {
-        self.to_string()
-    }
-    fn dec(s: &str) -> Result<usize, String> {
-        s.parse().map_err(|e| format!("{e}: {s:?}"))
-    }
-}
-
-impl StatFieldCodec for f64 {
-    // Bit-exact round-trip: the step-mode parity suite compares stats
-    // with `==`, so a stored record must decode to the identical f64.
-    fn enc(&self) -> String {
-        format!("{:016x}", self.to_bits())
-    }
-    fn dec(s: &str) -> Result<f64, String> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|e| format!("{e}: {s:?}"))
-    }
-}
-
-/// Generates [`SimStats::encode_record`] / [`SimStats::decode_record`]
-/// from one field list. Decode builds a struct literal, so adding a
-/// field to [`SimStats`] without extending this list is a compile
-/// error — the codec can never silently drop a counter.
-macro_rules! sim_stats_codec {
-    ($($field:ident),+ $(,)?) => {
-        impl SimStats {
-            /// Serialises every counter as `name=value` pairs (floats
-            /// as hex bit patterns, so decoding is bit-exact).
-            pub fn encode_record(&self) -> String {
-                let parts: Vec<String> =
-                    vec![$(format!(concat!(stringify!($field), "={}"), self.$field.enc())),+];
-                parts.join(" ")
-            }
-
-            /// Parses [`SimStats::encode_record`] output.
-            ///
-            /// # Errors
-            ///
-            /// Describes the first missing or malformed field.
-            pub fn decode_record(text: &str) -> Result<SimStats, String> {
-                let mut map = std::collections::BTreeMap::new();
-                for pair in text.split_whitespace() {
-                    let (name, value) = pair
-                        .split_once('=')
-                        .ok_or_else(|| format!("malformed stat pair {pair:?}"))?;
-                    map.insert(name, value);
-                }
-                Ok(SimStats {
-                    $($field: {
-                        let raw = map
-                            .get(stringify!($field))
-                            .ok_or_else(|| format!("missing stat {}", stringify!($field)))?;
-                        StatFieldCodec::dec(raw)
-                            .map_err(|e| format!("stat {}: {e}", stringify!($field)))?
-                    }),+
-                })
-            }
-        }
-    };
-}
-
-sim_stats_codec!(
-    cycles,
-    insts,
-    instrumentation_insts,
-    persist_stores,
-    forced_ckpt_stores,
-    stall_sb_full,
-    stall_load_miss,
-    stall_boundary_wait,
-    stall_lock_spin,
-    regions,
-    regions_committed,
-    persist_latency_sum,
-    region_insts_sum,
-    region_stores_sum,
-    wpq_overflows,
-    wpq_load_hits,
-    llc_load_misses,
-    stale_loads,
-    snoops,
-    snoop_conflicts,
-    l1_hits,
-    l1_misses,
-    l2_hits,
-    l2_misses,
-    dram_hits,
-    dram_misses,
-    hol_blocked_cycles,
-    failures,
-    reexecuted_insts,
-    tp_estimate,
-    wpq_mean_occupancy,
-    wpq_max_occupancy,
-    io_ops,
-);
 
 impl SimStats {
+    /// The stats as one field-list record (`name=value` pairs, floats
+    /// as hex bit patterns); see [`lightwsp_store::codec`].
+    pub fn encode_record(&self) -> String {
+        lightwsp_store::Codec::encode(self)
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -305,6 +197,7 @@ impl SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightwsp_store::Codec;
 
     #[test]
     fn derived_metrics() {
@@ -339,17 +232,15 @@ mod tests {
             ..SimStats::default()
         };
         let rec = s.encode_record();
-        let d = SimStats::decode_record(&rec).unwrap();
+        assert!(rec.starts_with("cycles=123 insts=18446744073709551615 "));
+        let d = SimStats::decode(&rec).unwrap();
         assert_eq!(d, s);
         assert_eq!(
             d.wpq_mean_occupancy.to_bits(),
             s.wpq_mean_occupancy.to_bits()
         );
-        assert!(
-            SimStats::decode_record("cycles=1").is_err(),
-            "missing fields"
-        );
-        assert!(SimStats::decode_record(&rec.replace("io_ops=9", "io_ops=x")).is_err());
+        assert!(SimStats::decode("cycles=1").is_err(), "missing fields");
+        assert!(SimStats::decode(&rec.replace("io_ops=9", "io_ops=x")).is_err());
     }
 
     #[test]

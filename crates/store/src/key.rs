@@ -6,8 +6,8 @@
 //! heterogeneous record families (whole-run results, crash-audit
 //! cells, step/exec timing records, sweep-engine comparisons, …)
 //! without colliding. Keys order lexicographically by field, which
-//! groups a cursor's walk by record family, then workload, then
-//! series — the natural aggregation order for figure emission.
+//! groups a rewritten log by record family, then workload, then
+//! series.
 
 use std::fmt;
 
@@ -49,12 +49,6 @@ impl StoreKey {
             code,
         }
     }
-
-    /// The smallest key of a record family — the seek target for a
-    /// cursor walking one `kind`.
-    pub fn kind_floor(kind: &str) -> StoreKey {
-        StoreKey::new(kind, "", "", 0, 0, 0)
-    }
 }
 
 impl fmt::Display for StoreKey {
@@ -78,7 +72,6 @@ mod tests {
         let c = StoreKey::new("steptime", "aaa", "zzz", 0, 0, 0);
         assert!(a < b, "workload orders within a kind");
         assert!(b < c, "kind dominates");
-        assert!(StoreKey::kind_floor("run") <= a);
     }
 
     #[test]

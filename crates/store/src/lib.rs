@@ -1,26 +1,16 @@
-//! `lightwsp-store`: a spine-style persistent result store for
-//! million-point simulation campaigns.
+//! `lightwsp-store`: the persistent result store behind the
+//! evaluation's figures and crash audits.
 //!
-//! The evaluation harness produces results at four scales — whole-run
-//! figure cells, crash-audit sweeps with thousands of fork points,
-//! model-litmus capture sweeps, and data-structure audits — and before
-//! this crate every `cargo run --bin all_figures` recomputed all of
-//! them from scratch. The store makes results *durable and addressable*
-//! instead: each record is keyed by
+//! Each record is keyed by
 //! `(kind, workload, scheme, config-digest, point, code-digest)`
-//! ([`StoreKey`]), appended to immutable sorted [`Batch`]es, organised
-//! into a [`Spine`] with background merge/compaction, and queried
-//! through merged [`Cursor`]s. Because the **code digest** (a
-//! build-time fingerprint of every simulation-relevant source file,
-//! see [`digest`]) is part of the key, a warm re-run on unchanged code
-//! re-simulates nothing, a config tweak invalidates exactly the
-//! affected cells, and historical records from older builds remain
-//! queryable for perf-trajectory analysis.
-//!
-//! The crate is dependency-free (it sits *below* `lightwsp-core` in
-//! the workspace graph) and stores opaque string payloads; the codec
-//! for each record family lives with the type that owns it, in
-//! `lightwsp-core::cache`.
+//! ([`StoreKey`]) and appended to one record log per store directory;
+//! opening replays the log into a last-writer-wins index
+//! ([`ResultStore`]). Values are text in the field-list format of
+//! [`codec`] ([`Codec`], [`record_codec!`]). A config-knob change
+//! misses exactly the cells whose config digest includes that knob;
+//! the build-time code digest ([`digest`]) is global, so any edit to a
+//! simulation source misses every record, while older records stay in
+//! the log under their own digest. The crate is dependency-free.
 //!
 //! ```
 //! use lightwsp_store::{ResultStore, StoreKey};
@@ -36,17 +26,15 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
+pub mod codec;
 pub mod digest;
 pub mod key;
-pub mod spine;
 pub mod store;
 
-pub use batch::{Batch, Entry};
+pub use codec::Codec;
 pub use digest::{
     build_code_digest, code_digest, code_digest_from_env, combine, digest_bytes, digest_debug,
     digest_str, BUILD_CODE_DIGEST_HEX,
 };
 pub use key::StoreKey;
-pub use spine::{Cursor, Spine, MERGE_FANOUT};
-pub use store::{CacheStats, ResultStore, AUTOFLUSH_ENTRIES};
+pub use store::{CacheStats, ResultStore, LOG_FILE};

@@ -1,43 +1,28 @@
-//! The durable result store: a [`Spine`] of immutable batch files plus
-//! a pending write buffer, cache statistics, and an optional background
-//! compactor thread.
+//! The durable result store: one append-only record log per directory
+//! ([`LOG_FILE`]) plus an in-memory last-writer-wins index.
 //!
-//! ## Layout
-//!
-//! A store is a directory of `batch-<lo>-<hi>.lwsb` files, one sealed
-//! [`Batch`] each, named by the contiguous global-sequence range they
-//! cover. There is no manifest: opening a store globs the directory,
-//! drops any file whose range is covered by a wider file (the only
-//! leftover an interrupted compaction can produce — merged output is
-//! renamed into place *before* its inputs are retired), and rebuilds
-//! the spine. All writes go through a write-temp-then-rename protocol,
-//! in keeping with the repository's crash-consistency sensibilities.
-//!
-//! ## Write path
-//!
-//! [`ResultStore::put`] appends to an in-memory pending buffer;
-//! [`ResultStore::flush`] (or the automatic flush every
-//! [`AUTOFLUSH_ENTRIES`] puts, or `Drop`) seals the buffer into a new
-//! immutable batch, persists it, and hands it to the spine — campaigns
-//! therefore append batches instead of accumulating results in memory.
-//! Once the spine exceeds [`MERGE_FANOUT`](crate::MERGE_FANOUT) batches, adjacent pairs are
-//! merged — inline by the flusher, or off the caller's path when
-//! [`ResultStore::start_compactor`] has spawned the background merger.
-//! Merging never changes query results (last-writer-wins by sequence
-//! number at every level), which is the determinism property the
-//! proptests pin.
+//! Each log line is one record: the six [`StoreKey`] fields and the
+//! value, tab-separated, strings escaped by the codec's escaper so a
+//! record never spans lines. Opening replays the log; a later line for
+//! a key supersedes an earlier one. As with LightWSP's WPQ redo
+//! buffer, only records written in full count: a final line without
+//! its newline is a torn append, dropped and truncated away. Any other
+//! malformed line is an `InvalidData` error naming the file and line.
+//! When superseded records outnumber live ones, open rewrites the log
+//! (live records in key order, temp file renamed into place).
 
-use crate::batch::{Batch, Entry};
+use crate::codec::{escape_into, unescape};
 use crate::digest::code_digest_from_env;
 use crate::key::StoreKey;
-use crate::spine::{Cursor, Spine};
-use std::io;
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Pending-buffer size that triggers an automatic flush.
-pub const AUTOFLUSH_ENTRIES: usize = 4096;
+/// The record log's file name inside a store directory.
+pub const LOG_FILE: &str = "records.log";
 
 /// Point-in-time counters of one store's activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,77 +33,107 @@ pub struct CacheStats {
     pub misses: u64,
     /// Records written this session.
     pub puts: u64,
-    /// Batches sealed and appended this session.
-    pub batches_appended: u64,
-    /// Merge/compaction steps performed this session.
-    pub compactions: u64,
-    /// Batches loaded from disk at open.
-    pub loaded_batches: u64,
-    /// Entries loaded from disk at open.
+    /// Complete records replayed from the log at open.
     pub loaded_entries: u64,
-    /// Batches currently resident in the spine.
-    pub resident_batches: u64,
-    /// Entries currently resident (pre-dedup across batches).
+    /// Distinct keys currently held.
     pub resident_entries: u64,
 }
 
+#[derive(Default)]
 struct State {
-    spine: Spine,
-    pending: Vec<Entry>,
-    next_seq: u64,
+    index: HashMap<StoreKey, String>,
+    stats: CacheStats,
+    /// Log path and append handle; `None` for in-memory stores.
+    log: Option<(PathBuf, File)>,
+    /// The first write error. Nothing is appended after it, and every
+    /// later sync reports it.
+    failed: Option<(io::ErrorKind, String)>,
 }
 
-struct Inner {
-    dir: Option<PathBuf>,
-    code: u64,
-    state: Mutex<State>,
-    /// Serialises mergers (inline flusher vs background compactor);
-    /// held across the off-`state`-lock merge work.
-    merge_lock: Mutex<()>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    batches_appended: AtomicU64,
-    compactions: AtomicU64,
-    loaded_batches: u64,
-    loaded_entries: u64,
-    compactor: Mutex<CompactorState>,
-    signal: Condvar,
+impl State {
+    fn sync(&self) -> io::Result<()> {
+        match (&self.failed, &self.log) {
+            (Some((kind, msg)), _) => Err(io::Error::new(*kind, msg.clone())),
+            (None, Some((_, file))) => file.sync_data(),
+            (None, None) => Ok(()),
+        }
+    }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CompactorState {
-    /// No background thread: flushes merge inline.
-    Inline,
-    /// Background thread running; flushes just signal it.
-    Running,
-    /// Background thread asked to exit.
-    ShuttingDown,
+impl Drop for State {
+    /// The last handle out syncs the log; `Drop` cannot return the
+    /// error, so it is printed rather than dropped.
+    fn drop(&mut self) {
+        if let (Err(e), Some((path, _))) = (self.sync(), &self.log) {
+            eprintln!("warning: result store {}: {e}", path.display());
+        }
+    }
 }
 
-/// A digest-keyed, spine-backed result store. Cheap to clone (shared
-/// handle); safe to use from campaign worker threads.
+/// A digest-keyed result store. Cheap to clone (shared handle); safe
+/// to use from campaign worker threads.
 #[derive(Clone)]
 pub struct ResultStore {
-    inner: Arc<Inner>,
-    /// Joins the compactor on the last handle's drop.
-    thread: Arc<Mutex<Option<std::thread::JoinHandle<()>>>>,
+    dir: Option<PathBuf>,
+    code: u64,
+    state: Arc<Mutex<State>>,
 }
 
-fn batch_file_name(b: &Batch) -> String {
-    format!("batch-{:012}-{:012}.lwsb", b.seq_lo(), b.seq_hi())
+/// Appends one log line (newline included) for `key` → `value`.
+fn push_line(out: &mut String, key: &StoreKey, value: &str) {
+    for s in [&key.kind, &key.workload, &key.scheme] {
+        escape_into(out, s);
+        out.push('\t');
+    }
+    let _ = write!(
+        out,
+        "{:016x}\t{}\t{:016x}\t",
+        key.config, key.point, key.code
+    );
+    escape_into(out, value);
+    out.push('\n');
 }
 
-fn parse_file_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("batch-")?.strip_suffix(".lwsb")?;
-    let (lo, hi) = rest.split_once('-')?;
-    Some((lo.parse().ok()?, hi.parse().ok()?))
+/// Parses one log line (newline stripped).
+fn parse_line(line: &str) -> Result<(StoreKey, String), String> {
+    let fields: Vec<&str> = line.split('\t').collect();
+    let [kind, workload, scheme, config, point, code, value] = fields[..] else {
+        return Err(format!("expected 7 fields, got {}", fields.len()));
+    };
+    let hex = |s: &str| u64::from_str_radix(s, 16).map_err(|e| format!("{e}: {s:?}"));
+    let key = StoreKey {
+        kind: unescape(kind),
+        workload: unescape(workload),
+        scheme: unescape(scheme),
+        config: hex(config)?,
+        point: point.parse().map_err(|e| format!("{e}: {point:?}"))?,
+        code: hex(code)?,
+    };
+    Ok((key, unescape(value)))
 }
 
-fn write_atomically(dir: &Path, name: &str, contents: &str) -> io::Result<()> {
-    let tmp = dir.join(format!(".tmp-{name}"));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, dir.join(name))
+/// Replaces the log at `path` with the live records in key order:
+/// written to `tmp`, synced, then renamed over the log.
+fn rewrite(path: &Path, tmp: &Path, index: &HashMap<StoreKey, String>) -> io::Result<()> {
+    let mut live: Vec<_> = index.iter().collect();
+    live.sort();
+    let mut text = String::new();
+    for (key, value) in live {
+        push_line(&mut text, key, value);
+    }
+    let mut file = File::create(tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    fs::rename(tmp, path)?;
+    sync_parent(path);
+    Ok(())
+}
+
+/// Persists a create or rename of `path` where directories can be synced.
+fn sync_parent(path: &Path) {
+    if let Some(dir) = path.parent() {
+        let _ = File::open(dir).and_then(|d| d.sync_all());
+    }
 }
 
 impl ResultStore {
@@ -127,8 +142,8 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Propagates directory/IO errors; a malformed batch file is an
-    /// `InvalidData` error naming the file.
+    /// Propagates directory/IO errors; a malformed log line is an
+    /// `InvalidData` error naming the file and line.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultStore> {
         ResultStore::open_with(dir, code_digest_from_env())
     }
@@ -139,147 +154,117 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Propagates directory/IO errors and batch-file parse failures.
+    /// Propagates directory/IO errors and log parse failures.
     pub fn open_with(dir: impl Into<PathBuf>, code: u64) -> io::Result<ResultStore> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        // Collect batch files; prune any whose seq range is covered by
-        // a wider file (interrupted-compaction leftovers).
-        let mut ranged: Vec<(u64, u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some((lo, hi)) = parse_file_name(&name) {
-                ranged.push((lo, hi, entry.path()));
-            } else if name.starts_with(".tmp-") {
-                let _ = std::fs::remove_file(entry.path());
-            }
+        fs::create_dir_all(&dir)?;
+        let path = dir.join(LOG_FILE);
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        // Only newline-terminated records were written in full.
+        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let mut index = HashMap::new();
+        let mut loaded = 0;
+        for (n, line) in bytes[..whole].split_inclusive(|&b| b == b'\n').enumerate() {
+            let bad = |msg: String| {
+                let msg = format!("{}:{}: {msg}", path.display(), n + 1);
+                io::Error::new(io::ErrorKind::InvalidData, msg)
+            };
+            let line =
+                std::str::from_utf8(&line[..line.len() - 1]).map_err(|e| bad(e.to_string()))?;
+            let (key, value) = parse_line(line).map_err(bad)?;
+            index.insert(key, value);
+            loaded += 1;
         }
-        ranged.sort();
-        let keep: Vec<(u64, u64, PathBuf)> = ranged
-            .iter()
-            .filter(|(lo, hi, path)| {
-                let covered = ranged
-                    .iter()
-                    .any(|(l, h, p)| p != path && *l <= *lo && *hi <= *h && (*l, *h) != (*lo, *hi));
-                if covered {
-                    let _ = std::fs::remove_file(path);
-                }
-                !covered
-            })
-            .cloned()
-            .collect();
-
-        let mut spine = Spine::new();
-        let mut next_seq = 0u64;
-        let mut loaded_batches = 0u64;
-        let mut loaded_entries = 0u64;
-        for (_, hi, path) in &keep {
-            let text = std::fs::read_to_string(path)?;
-            let batch = Batch::decode(&text).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {e}", path.display()),
-                )
-            })?;
-            loaded_batches += 1;
-            loaded_entries += batch.len() as u64;
-            next_seq = next_seq.max(hi + 1);
-            spine.insert(Arc::new(batch));
+        // A leftover of an interrupted rewrite; the log itself is
+        // still whole, because the rename is the commit point.
+        let tmp = dir.join(format!("{LOG_FILE}.tmp"));
+        let _ = fs::remove_file(&tmp);
+        if loaded > 2 * index.len() as u64 {
+            rewrite(&path, &tmp, &index)?;
+        } else if whole < bytes.len() {
+            let file = OpenOptions::new().write(true).open(&path)?;
+            file.set_len(whole as u64)?;
+            file.sync_all()?;
         }
-        Ok(ResultStore::from_parts(
-            Some(dir),
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        sync_parent(&path);
+        let state = State {
+            index,
+            stats: CacheStats {
+                loaded_entries: loaded,
+                ..CacheStats::default()
+            },
+            log: Some((path, file)),
+            failed: None,
+        };
+        Ok(ResultStore {
+            dir: Some(dir),
             code,
-            spine,
-            next_seq,
-            loaded_batches,
-            loaded_entries,
-        ))
+            state: Arc::new(Mutex::new(state)),
+        })
     }
 
     /// A store with no backing directory (session-local caching and
-    /// tests; batches live only in memory).
+    /// tests; records live only in memory).
     pub fn in_memory() -> ResultStore {
         ResultStore::in_memory_with(code_digest_from_env())
     }
 
     /// [`ResultStore::in_memory`] with an explicit code digest.
     pub fn in_memory_with(code: u64) -> ResultStore {
-        ResultStore::from_parts(None, code, Spine::new(), 0, 0, 0)
+        ResultStore {
+            dir: None,
+            code,
+            state: Arc::default(),
+        }
     }
 
-    fn from_parts(
-        dir: Option<PathBuf>,
-        code: u64,
-        spine: Spine,
-        next_seq: u64,
-        loaded_batches: u64,
-        loaded_entries: u64,
-    ) -> ResultStore {
-        ResultStore {
-            inner: Arc::new(Inner {
-                dir,
-                code,
-                state: Mutex::new(State {
-                    spine,
-                    pending: Vec::new(),
-                    next_seq,
-                }),
-                merge_lock: Mutex::new(()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                puts: AtomicU64::new(0),
-                batches_appended: AtomicU64::new(0),
-                compactions: AtomicU64::new(0),
-                loaded_batches,
-                loaded_entries,
-                compactor: Mutex::new(CompactorState::Inline),
-                signal: Condvar::new(),
-            }),
-            thread: Arc::new(Mutex::new(None)),
-        }
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("a thread panicked while holding the store lock")
     }
 
     /// The code digest this store keys new records under.
     pub fn code(&self) -> u64 {
-        self.inner.code
+        self.code
     }
 
     /// The backing directory, if any.
     pub fn dir(&self) -> Option<&Path> {
-        self.inner.dir.as_deref()
+        self.dir.as_deref()
     }
 
     /// Looks up `key`, counting a hit or miss.
     pub fn get(&self, key: &StoreKey) -> Option<String> {
-        let state = self.inner.state.lock().unwrap();
-        let found = state
-            .pending
-            .iter()
-            .rev()
-            .find(|e| e.key == *key)
-            .map(|e| e.value.clone())
-            .or_else(|| state.spine.get(key).map(|e| e.value.clone()));
-        drop(state);
-        match &found {
-            Some(_) => self.inner.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.inner.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let mut state = self.state();
+        let found = state.index.get(key).cloned();
+        match found {
+            Some(_) => state.stats.hits += 1,
+            None => state.stats.misses += 1,
+        }
         found
     }
 
-    /// Buffers one record; flushes automatically at
-    /// [`AUTOFLUSH_ENTRIES`].
+    /// Records `key` → `value`, appending one line to the log. A write
+    /// error stops further appends and is returned by the next
+    /// [`flush`](ResultStore::flush).
     pub fn put(&self, key: StoreKey, value: String) {
-        let mut state = self.inner.state.lock().unwrap();
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.pending.push(Entry { key, seq, value });
-        self.inner.puts.fetch_add(1, Ordering::Relaxed);
-        if state.pending.len() >= AUTOFLUSH_ENTRIES {
-            drop(state);
-            let _ = self.flush();
+        let mut line = String::new();
+        push_line(&mut line, &key, &value);
+        let mut guard = self.state();
+        let state = &mut *guard;
+        if let (Some((_, file)), None) = (&mut state.log, &state.failed) {
+            if let Err(e) = file.write_all(line.as_bytes()) {
+                state.failed = Some((e.kind(), e.to_string()));
+            }
         }
+        state.index.insert(key, value);
+        state.stats.puts += 1;
     }
 
     /// Serves `key` from the store or computes, records, and returns
@@ -293,218 +278,21 @@ impl ResultStore {
         (v, false)
     }
 
-    /// Seals the pending buffer into a new immutable batch, persists
-    /// it, and triggers compaction (inline, or via the background
-    /// thread when running). Returns the number of entries sealed.
+    /// Makes every record put so far durable.
     ///
     /// # Errors
     ///
-    /// Propagates batch-file write errors (the sealed batch still
-    /// lands in the in-memory spine first).
-    pub fn flush(&self) -> io::Result<usize> {
-        let mut state = self.inner.state.lock().unwrap();
-        if state.pending.is_empty() {
-            return Ok(0);
-        }
-        let batch = Batch::seal(std::mem::take(&mut state.pending));
-        let n = batch.len();
-        let batch = Arc::new(batch);
-        state.spine.insert(batch.clone());
-        drop(state);
-        self.inner.batches_appended.fetch_add(1, Ordering::Relaxed);
-        let mut result = Ok(n);
-        if let Some(dir) = &self.inner.dir {
-            result = write_atomically(dir, &batch_file_name(&batch), &batch.encode()).map(|()| n);
-        }
-        match *self.inner.compactor.lock().unwrap() {
-            CompactorState::Running => self.inner.signal.notify_all(),
-            _ => while self.merge_step() {},
-        }
-        result
-    }
-
-    /// Performs one merge step if the spine exceeds the fan-out.
-    /// Returns whether a merge happened.
-    fn merge_step(&self) -> bool {
-        let _serial = self.inner.merge_lock.lock().unwrap();
-        let (i, a, b) = {
-            let state = self.inner.state.lock().unwrap();
-            let Some((i, j)) = state.spine.merge_candidate() else {
-                return false;
-            };
-            (
-                i,
-                state.spine.batches()[i].clone(),
-                state.spine.batches()[j].clone(),
-            )
-        };
-        self.merge_pair(i, &a, &b);
-        true
-    }
-
-    /// Merges the pair at `i` (batches `a`, `b`): builds the merged
-    /// batch off the state lock, persists it, swaps it in, then
-    /// retires the input files. Caller holds `merge_lock`.
-    fn merge_pair(&self, i: usize, a: &Arc<Batch>, b: &Arc<Batch>) {
-        let merged = Arc::new(Batch::merge(a, b));
-        if let Some(dir) = &self.inner.dir {
-            // Persist the merged batch before retiring its inputs so an
-            // interruption leaves covered files, never missing data.
-            let _ = write_atomically(dir, &batch_file_name(&merged), &merged.encode());
-        }
-        {
-            let mut state = self.inner.state.lock().unwrap();
-            state.spine.replace_pair(i, merged.clone());
-        }
-        if let Some(dir) = &self.inner.dir {
-            for old in [a, b] {
-                let name = batch_file_name(old);
-                if name != batch_file_name(&merged) {
-                    let _ = std::fs::remove_file(dir.join(name));
-                }
-            }
-        }
-        self.inner.compactions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Flushes, then merges the whole spine down to a single batch
-    /// (full compaction, regardless of the fan-out threshold).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the flush's write error.
-    pub fn compact_all(&self) -> io::Result<()> {
-        self.flush()?;
-        loop {
-            let _serial = self.inner.merge_lock.lock().unwrap();
-            let (a, b) = {
-                let state = self.inner.state.lock().unwrap();
-                if state.spine.batch_count() < 2 {
-                    return Ok(());
-                }
-                (
-                    state.spine.batches()[0].clone(),
-                    state.spine.batches()[1].clone(),
-                )
-            };
-            self.merge_pair(0, &a, &b);
-        }
-    }
-
-    /// Spawns the background compactor: subsequent flushes return
-    /// immediately and merging happens off the caller's path. Idempotent.
-    pub fn start_compactor(&self) {
-        let mut comp = self.inner.compactor.lock().unwrap();
-        if *comp != CompactorState::Inline {
-            return;
-        }
-        *comp = CompactorState::Running;
-        drop(comp);
-        let store = ResultStore {
-            inner: self.inner.clone(),
-            // The worker must not own the joiner slot (it would
-            // self-join on drop).
-            thread: Arc::new(Mutex::new(None)),
-        };
-        let handle = std::thread::Builder::new()
-            .name("lightwsp-store-compactor".into())
-            .spawn(move || loop {
-                {
-                    let mut comp = store.inner.compactor.lock().unwrap();
-                    while *comp == CompactorState::Running
-                        && store
-                            .inner
-                            .state
-                            .lock()
-                            .unwrap()
-                            .spine
-                            .merge_candidate()
-                            .is_none()
-                    {
-                        comp = store.inner.signal.wait(comp).unwrap();
-                    }
-                    if *comp == CompactorState::ShuttingDown {
-                        return;
-                    }
-                }
-                while store.merge_step() {}
-            })
-            .expect("spawn store compactor");
-        *self.thread.lock().unwrap() = Some(handle);
-    }
-
-    /// Stops the background compactor (if running), draining remaining
-    /// merge work inline first. Idempotent.
-    pub fn stop_compactor(&self) {
-        {
-            let mut comp = self.inner.compactor.lock().unwrap();
-            if *comp != CompactorState::Running {
-                return;
-            }
-            *comp = CompactorState::ShuttingDown;
-            self.inner.signal.notify_all();
-        }
-        if let Some(handle) = self.thread.lock().unwrap().take() {
-            let _ = handle.join();
-        }
-        *self.inner.compactor.lock().unwrap() = CompactorState::Inline;
-        while self.merge_step() {}
-    }
-
-    /// A merged cursor over a consistent snapshot (pending entries
-    /// included), optionally restricted to one record family.
-    pub fn cursor(&self, kind: Option<&str>) -> Cursor {
-        let state = self.inner.state.lock().unwrap();
-        let mut spine = state.spine.clone();
-        if !state.pending.is_empty() {
-            spine.insert(Arc::new(Batch::seal(state.pending.clone())));
-        }
-        drop(state);
-        match kind {
-            Some(k) => spine.cursor_kind(k),
-            None => spine.cursor(),
-        }
-    }
-
-    /// All records of one family, in key order (cursor convenience).
-    pub fn kind_entries(&self, kind: &str) -> Vec<Entry> {
-        self.cursor(Some(kind)).collect()
+    /// The sync's error, or the write error that stopped appending.
+    pub fn flush(&self) -> io::Result<()> {
+        self.state().sync()
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let state = self.inner.state.lock().unwrap();
-        let (resident_batches, resident_entries) = (
-            state.spine.batch_count() as u64,
-            (state.spine.entry_count() + state.pending.len()) as u64,
-        );
-        drop(state);
+        let state = self.state();
         CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            puts: self.inner.puts.load(Ordering::Relaxed),
-            batches_appended: self.inner.batches_appended.load(Ordering::Relaxed),
-            compactions: self.inner.compactions.load(Ordering::Relaxed),
-            loaded_batches: self.inner.loaded_batches,
-            loaded_entries: self.inner.loaded_entries,
-            resident_batches,
-            resident_entries,
-        }
-    }
-}
-
-impl Drop for ResultStore {
-    fn drop(&mut self) {
-        // Last handle out seals the pending buffer and parks the
-        // compactor; intermediate clones must not.
-        if Arc::strong_count(&self.inner) == 1 + 1 {
-            // One count is ours; the compactor thread (if any) holds
-            // another — stop it first, then flush.
-            self.stop_compactor();
-        }
-        if Arc::strong_count(&self.inner) == 1 {
-            self.stop_compactor();
-            let _ = self.flush();
+            resident_entries: state.index.len() as u64,
+            ..state.stats
         }
     }
 }
@@ -519,7 +307,7 @@ mod tests {
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lwsp-store-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&dir);
         dir
     }
 
@@ -527,87 +315,107 @@ mod tests {
     fn memo_hits_after_put_and_counts() {
         let s = ResultStore::in_memory_with(1);
         let (v, hit) = s.memo(&key(1), || "computed".into());
-        assert!(!hit);
-        assert_eq!(v, "computed");
+        assert_eq!((v.as_str(), hit), ("computed", false));
         let (v, hit) = s.memo(&key(1), || unreachable!("must be served"));
-        assert!(hit);
-        assert_eq!(v, "computed");
+        assert_eq!((v.as_str(), hit), ("computed", true));
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.puts), (1, 1, 1));
     }
 
     #[test]
-    fn persists_across_open_and_prunes_covered_files() {
-        let dir = tmp_dir("reopen");
-        {
-            let s = ResultStore::open_with(&dir, 7).unwrap();
-            for n in 0..10 {
-                s.put(key(n), format!("v{n}"));
-            }
-            s.flush().unwrap();
-            for n in 10..20 {
-                s.put(key(n), format!("v{n}"));
-            }
-            // Drop flushes the second half.
-        }
-        let s = ResultStore::open_with(&dir, 7).unwrap();
-        for n in 0..20 {
-            assert_eq!(s.get(&key(n)).as_deref(), Some(format!("v{n}").as_str()));
-        }
-        assert!(s.stats().loaded_entries >= 20);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn overwrites_are_last_writer_wins_across_flushes() {
-        let s = ResultStore::in_memory_with(1);
-        s.put(key(5), "old".into());
+        let dir = tmp_dir("lww");
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        for n in 0..10 {
+            s.put(key(n), "old".into());
+        }
         s.flush().unwrap();
         s.put(key(5), "new".into());
         assert_eq!(s.get(&key(5)).as_deref(), Some("new"));
-        s.flush().unwrap();
+        drop(s); // syncs the unflushed put
+        let s = ResultStore::open_with(&dir, 7).unwrap();
         assert_eq!(s.get(&key(5)).as_deref(), Some("new"));
-        let all = s.kind_entries("run");
-        assert_eq!(all.iter().filter(|e| e.key == key(5)).count(), 1);
+        assert_eq!(s.get(&key(9)).as_deref(), Some("old"));
+        let st = s.stats();
+        assert_eq!((st.loaded_entries, st.resident_entries), (11, 10));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn compaction_inline_and_background_preserve_contents() {
-        for background in [false, true] {
-            let dir = tmp_dir(if background { "bg" } else { "inline" });
-            let s = ResultStore::open_with(&dir, 7).unwrap();
-            if background {
-                s.start_compactor();
-            }
-            for n in 0..40 {
-                s.put(key(n), format!("v{n}"));
-                if n % 5 == 4 {
-                    s.flush().unwrap();
-                }
-            }
-            s.stop_compactor();
-            s.compact_all().unwrap();
-            let st = s.stats();
-            assert_eq!(st.resident_batches, 1);
-            assert!(st.compactions > 0);
-            for n in 0..40 {
-                assert_eq!(s.get(&key(n)).as_deref(), Some(format!("v{n}").as_str()));
-            }
-            drop(s);
-            // Reopen sees exactly the compacted contents.
-            let s = ResultStore::open_with(&dir, 7).unwrap();
-            assert_eq!(s.kind_entries("run").len(), 40);
-            std::fs::remove_dir_all(&dir).unwrap();
+    fn persists_across_open_and_prunes_covered_files() {
+        let dir = tmp_dir("persist");
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        for n in 0..4 {
+            s.put(key(n), format!("v{n}"));
         }
+        s.flush().unwrap();
+        drop(s);
+        // A rewrite cut before its rename leaves a temp file whose
+        // records the log still covers.
+        let tmp = dir.join(format!("{LOG_FILE}.tmp"));
+        fs::write(&tmp, "partial rewrite").unwrap();
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        assert!(!tmp.exists(), "covered temp file survived open");
+        for n in 0..4 {
+            assert_eq!(s.get(&key(n)), Some(format!("v{n}")));
+        }
+        assert_eq!(s.stats().loaded_entries, 4);
+        drop(s);
+        let mut files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        files.sort();
+        assert_eq!(files, [LOG_FILE]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn cursor_includes_pending_and_orders_keys() {
-        let s = ResultStore::in_memory_with(1);
-        s.put(key(3), "c".into());
-        s.flush().unwrap();
-        s.put(key(1), "a".into());
-        let keys: Vec<u64> = s.cursor(Some("run")).map(|e| e.key.config).collect();
-        assert_eq!(keys, vec![1, 3]);
+    fn rewrite_sorts_and_dedupes_last_writer_wins() {
+        let dir = tmp_dir("rewrite");
+        fs::create_dir_all(&dir).unwrap();
+        let mut index = HashMap::new();
+        for (n, v) in [(3, "a"), (1, "b"), (3, "c"), (2, "d"), (1, "e")] {
+            index.insert(key(n), v.to_string());
+        }
+        let path = dir.join(LOG_FILE);
+        rewrite(&path, &dir.join("rewrite.tmp"), &index).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        let records: Vec<_> = text.lines().map(|l| parse_line(l).unwrap()).collect();
+        let expected: Vec<_> = [(1, "e"), (2, "d"), (3, "c")]
+            .map(|(n, v)| (key(n), v.to_string()))
+            .into();
+        assert_eq!(records, expected);
+        assert!(!dir.join("rewrite.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn encode_decode_roundtrip_with_nasty_strings() {
+        let mut k = StoreKey::new("run", "w\tname", "s\\x", u64::MAX, 3, 11);
+        k.kind = "a b,c\nd".into();
+        let value = "line1\nline2\\tail\tend, with spaces\\s";
+        let mut line = String::new();
+        push_line(&mut line, &k, value);
+        assert_eq!(line.matches(['\t', '\n']).count(), 7, "{line:?}");
+        let (dk, dv) = parse_line(line.strip_suffix('\n').unwrap()).unwrap();
+        assert_eq!((dk, dv.as_str()), (k, value));
+    }
+
+    #[test]
+    fn open_rejects_malformed_lines() {
+        let dir = tmp_dir("malformed");
+        fs::create_dir_all(&dir).unwrap();
+        let mut good = String::new();
+        push_line(&mut good, &key(1), "v");
+        for bad in ["only\tthree\tfields", "run\tw\ts\tnothex\t0\t07\tv"] {
+            fs::write(dir.join(LOG_FILE), format!("{good}{bad}\n{good}")).unwrap();
+            let err = ResultStore::open_with(&dir, 7)
+                .err()
+                .expect("malformed line");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("{LOG_FILE}:2:")), "{err}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -3,33 +3,33 @@
 //! Two contracts matter to the incremental re-bench machinery and are
 //! pinned here:
 //!
-//! 1. **Compaction invisibility** — any interleaving of puts, flushes
-//!    (batch seals) and merge/compaction steps yields exactly the same
-//!    queryable contents as sealing every entry into one batch: queries
-//!    are last-writer-wins by global sequence number, independent of
-//!    the batch layout history.
+//! 1. **Last-writer-wins durability** — any interleaving of puts,
+//!    flushes and reopens (replaying the log from disk) yields exactly
+//!    the contents of last-writer-wins over a `BTreeMap`: replay and
+//!    the open-time rewrite of superseded records are invisible.
 //! 2. **Digest invalidation exactness** — perturbing one configuration
 //!    knob invalidates exactly the cells whose config digest includes
 //!    that knob, and perturbing the code digest invalidates every cell
 //!    at once (that is the contract the warm/cold CI job relies on).
 
-use lightwsp_store::{digest_debug, Batch, Entry, ResultStore, StoreKey};
+use lightwsp_store::{digest_debug, ResultStore, StoreKey};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A compact op language: put (key-index, value-tag), flush, compact.
+/// A compact op language: put (key-index, value-tag), flush, reopen.
 #[derive(Clone, Debug)]
 enum Op {
     Put(u8, u16),
     Flush,
-    Compact,
+    Reopen,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u8>(), any::<u16>()).prop_map(|(k, v)| Op::Put(k % 24, v)),
         Just(Op::Flush),
-        Just(Op::Compact),
+        Just(Op::Reopen),
     ]
 }
 
@@ -52,42 +52,39 @@ fn key(i: u8) -> StoreKey {
 }
 
 proptest! {
-    /// Contract 1: the store's merged view equals a single sealed batch
-    /// of the same entries, whatever the flush/compaction interleaving.
+    /// Contract 1: the store equals last-writer-wins over a `BTreeMap`,
+    /// whatever the put/flush/reopen interleaving.
     #[test]
-    fn interleaved_ops_match_single_batch(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let store = ResultStore::in_memory_with(0xC0DE);
-        let mut all: Vec<Entry> = Vec::new();
-        let mut seq = 0u64;
+    fn interleaved_ops_match_btreemap_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "lwsp-store-props-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ResultStore::open_with(&dir, 0xC0DE).unwrap();
+        let mut model: BTreeMap<StoreKey, String> = BTreeMap::new();
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
-                    let value = format!("v{v}");
-                    all.push(Entry { key: key(*k), seq, value: value.clone() });
-                    seq += 1;
-                    store.put(key(*k), value);
+                    model.insert(key(*k), format!("v{v}"));
+                    store.put(key(*k), format!("v{v}"));
                 }
-                Op::Flush => { store.flush().unwrap(); }
-                Op::Compact => { store.compact_all().unwrap(); }
+                Op::Flush => store.flush().unwrap(),
+                Op::Reopen => {
+                    drop(store);
+                    store = ResultStore::open_with(&dir, 0xC0DE).unwrap();
+                }
             }
         }
-        let reference = Batch::seal(all);
-        let got: Vec<Entry> = store.cursor(None).collect();
-        prop_assert_eq!(got.len(), reference.entries().len());
-        for (g, r) in got.iter().zip(reference.entries()) {
-            prop_assert_eq!(&g.key, &r.key);
-            prop_assert_eq!(&g.value, &r.value, "key {}", g.key);
+        for i in 0..24 {
+            let k = key(i);
+            prop_assert_eq!(store.get(&k), model.get(&k).cloned(), "key {}", k);
         }
-        // Point lookups agree too, and kind cursors partition the view.
-        for r in reference.entries() {
-            let got = store.get(&r.key);
-            prop_assert_eq!(got.as_deref(), Some(r.value.as_str()));
-        }
-        let by_kind: usize = ["run", "crashcell", "steptime"]
-            .iter()
-            .map(|k| store.kind_entries(k).len())
-            .sum();
-        prop_assert_eq!(by_kind, reference.entries().len());
+        prop_assert_eq!(store.stats().resident_entries, model.len() as u64);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Contract 2: knob perturbation invalidates exactly the cells
