@@ -30,7 +30,7 @@
 //! | `ds_service` | `docs/DATASTRUCTURES.md` — recoverable-DS + KV/queue service crash audit, `BENCH_ds.json` |
 //! | `sweep_smoke` | CI perf gate: fork-mode crash sweep must beat rerun |
 //! | `exec_smoke` | CI perf gate: decoded engine ≥2x geomean on compute-dense Fig. 7 cells |
-//! | `step_smoke` | CI perf gate: skip-ahead must beat the per-cycle stepper on Fig. 7/11 cells |
+//! | `step_smoke` | CI perf gate: skip-ahead must beat the per-cycle stepper on Fig. 7/11 cells and on Fig. 16 cells at 8 and 64 cores |
 //! | `mem_smoke` | CI perf gate: fast-path cache model and dense-cell floors |
 //! | `all_figures` | every figure and table above, into `results/` and `BENCH_eval.json` |
 //!

@@ -1,6 +1,7 @@
 //! Step-mode timing harness: the Fig. 7 + Fig. 11 single-thread cells
-//! timed under [`StepMode::Reference`] and [`StepMode::SkipAhead`], with
-//! a cycle-count cross-check on every cell. Three consumers share it:
+//! and a set of Fig. 16 multi-core cells, timed under
+//! [`StepMode::Reference`] and [`StepMode::SkipAhead`], with a
+//! cycle-count cross-check on every cell. Three consumers share it:
 //! `all_figures` (the `step_mode` section of `BENCH_eval.json`), the
 //! `step_loop` microbench, and the `step_smoke` CI perf gate.
 //!
@@ -14,6 +15,9 @@
 use lightwsp_core::{record_codec, Experiment, ExperimentOptions, Scheme, WorkloadSpec};
 use lightwsp_sim::StepMode;
 use lightwsp_workloads::{all_workloads, suite_workloads, Suite};
+
+/// Core (= thread) counts of [`fig16_cells`].
+pub const FIG16_CORES: [usize; 2] = [8, 64];
 use std::time::Instant;
 
 /// One (workload, scheme, options) cell of the Fig. 7 / Fig. 11 matrix.
@@ -102,6 +106,33 @@ pub fn fig07_fig11_cells(opts: &ExperimentOptions) -> Vec<Cell> {
                     figure: format!("fig11-wpq{wpq}"),
                     spec: w.clone(),
                     scheme: Scheme::LightWsp,
+                    opts: o.clone(),
+                });
+            }
+        }
+    }
+    cells
+}
+
+/// Fig. 16 cells at 8 and 64 cores (one core per thread, as the figure
+/// maps them): the first workload of each multi-threaded suite under
+/// Baseline and LightWSP, on Fig. 16's budget rule (the per-thread
+/// budget shrinks above 8 threads, floored at 4,000 instructions).
+pub fn fig16_cells(opts: &ExperimentOptions) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for cores in FIG16_CORES {
+        let mut o = opts.clone();
+        o.threads = Some(cores);
+        if cores > 8 {
+            o.insts_per_thread = (o.insts_per_thread * 8 / cores as u64).max(4_000);
+        }
+        for suite in [Suite::Stamp, Suite::Npb, Suite::Splash3, Suite::Whisper] {
+            let w = suite_workloads(suite).remove(0);
+            for scheme in [Scheme::Baseline, Scheme::LightWsp] {
+                cells.push(Cell {
+                    figure: format!("fig16-{cores}c"),
+                    spec: w.clone(),
+                    scheme,
                     opts: o.clone(),
                 });
             }

@@ -27,7 +27,7 @@
 //! `std::thread::available_parallelism()`.
 
 use crate::cache::memo_value;
-use crate::experiment::{ExperimentOptions, RunResult};
+use crate::experiment::{cell_config, ExperimentOptions, RunResult};
 use lightwsp_compiler::instrument;
 use lightwsp_compiler::prune::RecoveryRecipes;
 use lightwsp_ir::fxhash::{fx_hash, FxHashMap};
@@ -266,12 +266,7 @@ impl Campaign {
     fn simulate(&self, job: &Job) -> RunResult {
         let threads = Self::threads_for(job);
         let sc = self.compiled_for(job);
-        let mut cfg = job.opts.sim.clone();
-        cfg.scheme = job.scheme;
-        cfg.num_cores = threads;
-        let window = job.spec.working_set.next_power_of_two();
-        let heap = lightwsp_ir::layout::HEAP_BASE;
-        cfg.warm_dram = vec![(heap - 0x8000, heap + window * threads as u64)];
+        let cfg = cell_config(&job.opts.sim, &job.spec, job.scheme, threads);
         let mut machine = Machine::new(sc.program, sc.recipes, cfg, threads);
         let completion = machine.run();
         RunResult {

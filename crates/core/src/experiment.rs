@@ -60,6 +60,27 @@ impl ExperimentOptions {
     }
 }
 
+/// The machine configuration of one evaluation cell: the `sim` template
+/// with `scheme`, one core per thread, and the DRAM cache warmed over
+/// the workload's data (shared counters, scratch, and every thread's
+/// private window), emulating the paper's fast-forward (§V-A). Every
+/// path that simulates a cell ([`Experiment`] and the campaign runner)
+/// builds its machine from this one function.
+pub fn cell_config(
+    sim: &SimConfig,
+    spec: &WorkloadSpec,
+    scheme: Scheme,
+    threads: usize,
+) -> SimConfig {
+    let mut cfg = sim.clone();
+    cfg.scheme = scheme;
+    cfg.num_cores = threads;
+    let window = spec.working_set.next_power_of_two();
+    let heap = lightwsp_ir::layout::HEAP_BASE;
+    cfg.warm_dram = vec![(heap - 0x8000, heap + window * threads as u64)];
+    cfg
+}
+
 /// The outcome of one simulation run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -141,15 +162,7 @@ impl Experiment {
     pub fn machine_for(&self, spec: &WorkloadSpec, scheme: Scheme) -> Machine {
         let threads = self.threads_for(spec);
         let compiled = self.compile(spec, scheme);
-        let mut cfg = self.opts.sim.clone();
-        cfg.scheme = scheme;
-        cfg.num_cores = threads;
-        // Warm DRAM cache over the workload's data (shared counters,
-        // scratch, and every thread's private window), emulating the
-        // paper's fast-forward (§V-A).
-        let window = spec.working_set.next_power_of_two();
-        let heap = lightwsp_ir::layout::HEAP_BASE;
-        cfg.warm_dram = vec![(heap - 0x8000, heap + window * threads as u64)];
+        let cfg = cell_config(&self.opts.sim, spec, scheme, threads);
         Machine::new(compiled.program, compiled.recipes, cfg, threads)
     }
 

@@ -49,7 +49,7 @@ pub use campaign::{Campaign, CampaignCacheStats, Job};
 pub use dsaudit::{
     audit_recoverable_ds, audit_recoverable_ds_cached, DsAuditBudget, DsAuditReport,
 };
-pub use experiment::{Experiment, ExperimentOptions, RunResult};
+pub use experiment::{cell_config, Experiment, ExperimentOptions, RunResult};
 pub use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
 pub use lightwsp_model::harness::CaseOutcome;
 pub use lightwsp_sim::{Completion, Machine, Scheme, SimConfig, SimStats};

@@ -411,18 +411,29 @@ impl SetAssocCache {
 }
 
 /// A sparse direct-mapped cache (the 4 GB DRAM LLC): only touched sets
-/// occupy host memory. [`DirectMappedCache::invalidate_all`] retains
-/// the table's capacity, so a machine that survives a power failure
-/// (and a crash-sweep fork, whose clone sizes the table from its
-/// occupancy) re-faults lines without re-growing the table.
+/// occupy host memory.
+///
+/// Warm-up ([`DirectMappedCache::prefill_range`]) is recorded as line
+/// intervals, not as one table entry per line: a set with no explicit
+/// entry is answered from the intervals (newest first) as present and
+/// clean, exactly the state the eager line-by-line fill leaves behind.
+/// The table therefore holds only sets touched since the prefill, so
+/// building a machine is O(1) in the warm window and a crash-sweep fork
+/// clones only the touched lines. The eager fill survives as
+/// [`crate::cache_ref::DirectMappedCacheRef`], the specification the
+/// differential proptests run this model against.
 #[derive(Clone, Debug)]
 pub struct DirectMappedCache {
     lines: FxHashMap<u64, (u64, bool)>, // set → (tag, dirty)
+    /// Warm line intervals `(first_line, last_line)`, inclusive, in
+    /// prefill order (later intervals win).
+    warm: Vec<(u64, u64)>,
     num_sets: u64,
     line_bytes: u64,
     /// Shift/mask split (capacity and line size are powers of two in
     /// every shipped config); `pow2 == false` falls back to division.
     line_shift: u32,
+    set_shift: u32,
     set_mask: u64,
     pow2: bool,
     hits: u64,
@@ -441,9 +452,11 @@ impl DirectMappedCache {
         let pow2 = line_bytes.is_power_of_two() && num_sets.is_power_of_two();
         DirectMappedCache {
             lines: FxHashMap::default(),
+            warm: Vec::new(),
             num_sets,
             line_bytes,
             line_shift: if pow2 { line_bytes.trailing_zeros() } else { 0 },
+            set_shift: if pow2 { num_sets.trailing_zeros() } else { 0 },
             set_mask: num_sets.wrapping_sub(1),
             pow2,
             hits: 0,
@@ -455,19 +468,35 @@ impl DirectMappedCache {
     fn split(&self, addr: u64) -> (u64, u64) {
         if self.pow2 {
             let line = addr >> self.line_shift;
-            (line & self.set_mask, line >> self.set_mask.count_ones())
+            (line & self.set_mask, line >> self.set_shift)
         } else {
             let line = addr / self.line_bytes;
             (line % self.num_sets, line / self.num_sets)
         }
     }
 
-    /// Pre-sizes the sparse tag table for `lines` resident lines, so
-    /// fork-sweep forks and warm-started runs stop paying incremental
-    /// rehash-and-grow on first touch.
-    pub fn reserve_lines(&mut self, lines: u64) {
-        let cap = lines.min(self.num_sets) as usize;
-        self.lines.reserve(cap.saturating_sub(self.lines.len()));
+    /// The tag a warm interval left in `set`, if any: the last line of
+    /// the newest interval covering `set` (the eager fill walks each
+    /// interval upward, so its highest line mapping to `set` wins).
+    fn warm_tag(&self, set: u64) -> Option<u64> {
+        self.warm.iter().rev().find_map(|&(first, last)| {
+            if last < set {
+                return None;
+            }
+            let back = if self.pow2 {
+                (last - set) & self.set_mask
+            } else {
+                (last - set) % self.num_sets
+            };
+            let line = last - back;
+            (line >= first).then(|| {
+                if self.pow2 {
+                    line >> self.set_shift
+                } else {
+                    line / self.num_sets
+                }
+            })
+        })
     }
 
     /// Accesses `addr`; returns `(hit, evicted_dirty_line_addr)`.
@@ -488,33 +517,56 @@ impl DirectMappedCache {
                 (false, evicted_dirty)
             }
             None => {
-                self.misses += 1;
-                self.lines.insert(set, (tag, is_write));
-                (false, None)
+                // Untouched set: a warm line is present and clean, so
+                // a read hit changes nothing and an eviction writes
+                // nothing back.
+                let hit = self.warm_tag(set) == Some(tag);
+                if hit {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                }
+                if is_write || !hit {
+                    self.lines.insert(set, (tag, is_write));
+                }
+                (hit, None)
             }
         }
     }
 
-    /// Pre-fills every line of `[start, end)` as present and clean —
-    /// the state a long fast-forward would leave behind (the paper warms
-    /// caches over 10⁹ instructions before measuring, §V-A). Reserves
-    /// table capacity for the whole range up front.
+    /// Marks every line of `[start, end)` present and clean — the state
+    /// a long fast-forward would leave behind (the paper warms caches
+    /// over 10⁹ instructions before measuring, §V-A). O(touched sets):
+    /// the interval is recorded, and only explicit entries it covers
+    /// are dropped (the interval now answers for them).
     pub fn prefill_range(&mut self, start: u64, end: u64) {
-        let mut line = start / self.line_bytes;
+        let first = start / self.line_bytes;
         let last = end.div_ceil(self.line_bytes);
-        self.reserve_lines(last.saturating_sub(line));
-        while line < last {
-            let set = line % self.num_sets;
-            let tag = line / self.num_sets;
-            self.lines.insert(set, (tag, false));
-            line += 1;
+        if first >= last {
+            return;
+        }
+        let last = last - 1;
+        self.warm.push((first, last));
+        if last - first + 1 >= self.num_sets {
+            self.lines.clear();
+        } else {
+            let n = self.num_sets;
+            let (lo, hi) = (first % n, last % n);
+            self.lines.retain(|&set, _| {
+                let covered = if lo <= hi {
+                    (lo..=hi).contains(&set)
+                } else {
+                    set >= lo || set <= hi
+                };
+                !covered
+            });
         }
     }
 
-    /// Invalidates everything (power failure). Retains capacity: the
-    /// post-failure refill re-faults into an already-sized table.
+    /// Invalidates everything, warm intervals included (power failure).
     pub fn invalidate_all(&mut self) {
         self.lines.clear();
+        self.warm.clear();
     }
 
     /// `(hits, misses)` counters.
@@ -700,14 +752,6 @@ mod tests {
         assert_eq!(d.hit_miss(), (0, 0));
         // Construction of a 4 GB cache is O(1) memory — this test passing
         // quickly is itself the assertion.
-    }
-
-    #[test]
-    fn direct_mapped_reserve_caps_at_num_sets() {
-        let mut d = DirectMappedCache::new(256, 64); // 4 sets
-        d.reserve_lines(1 << 40); // absurd request clamps to 4
-        assert_eq!(d.access(0, true), (false, None));
-        assert_eq!(d.access(0, false), (true, None));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Reference set-associative cache: the executable specification the
-//! fast-path [`SetAssocCache`](crate::cache::SetAssocCache) is proven
+//! Reference caches: the executable specifications the fast-path
+//! [`SetAssocCache`](crate::cache::SetAssocCache) and the lazily warmed
+//! [`DirectMappedCache`](crate::cache::DirectMappedCache) are proven
 //! against.
 //!
 //! This is the original array-of-structs implementation, retained
@@ -11,8 +12,14 @@
 //! [`VictimPolicy`] and assert access-for-access equality of results
 //! and counters; the `mem_path` microbench times the two against each
 //! other so the fast path's speedup is a measured number, not a claim.
+//!
+//! [`DirectMappedCacheRef`] keeps the eager warm-up: one table entry per
+//! prefilled line. The lazy model answers untouched sets from warm
+//! intervals instead; `crates/mem/tests/cache_properties.rs` drives both
+//! through random prefills, access streams and invalidations.
 
 use crate::cache::{AccessResult, VictimPolicy};
+use lightwsp_ir::fxhash::FxHashMap;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
@@ -204,5 +211,82 @@ impl SetAssocCacheRef {
     /// `(snoops, conflicts)` counters.
     pub fn snoop_stats(&self) -> (u64, u64) {
         (self.snoops, self.conflicts)
+    }
+}
+
+/// The specification direct-mapped cache: a sparse `set → (tag, dirty)`
+/// table whose warm-up inserts every prefilled line one by one.
+#[derive(Clone, Debug)]
+pub struct DirectMappedCacheRef {
+    lines: FxHashMap<u64, (u64, bool)>,
+    num_sets: u64,
+    line_bytes: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl DirectMappedCacheRef {
+    /// Creates a direct-mapped cache of `capacity_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacity is smaller than one line.
+    pub fn new(capacity_bytes: u64, line_bytes: u64) -> DirectMappedCacheRef {
+        assert!(capacity_bytes >= line_bytes, "capacity below one line");
+        DirectMappedCacheRef {
+            lines: FxHashMap::default(),
+            num_sets: capacity_bytes / line_bytes,
+            line_bytes,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Accesses `addr`; returns `(hit, evicted_dirty_line_addr)`.
+    pub fn access(&mut self, addr: u64, is_write: bool) -> (bool, Option<u64>) {
+        let line = addr / self.line_bytes;
+        let (set, tag) = (line % self.num_sets, line / self.num_sets);
+        match self.lines.get_mut(&set) {
+            Some((t, dirty)) if *t == tag => {
+                *dirty |= is_write;
+                self.hits += 1;
+                (true, None)
+            }
+            Some(entry) => {
+                self.misses += 1;
+                let evicted_dirty = entry
+                    .1
+                    .then(|| (entry.0 * self.num_sets + set) * self.line_bytes);
+                *entry = (tag, is_write);
+                (false, evicted_dirty)
+            }
+            None => {
+                self.misses += 1;
+                self.lines.insert(set, (tag, is_write));
+                (false, None)
+            }
+        }
+    }
+
+    /// Inserts every line of `[start, end)` as present and clean.
+    pub fn prefill_range(&mut self, start: u64, end: u64) {
+        let mut line = start / self.line_bytes;
+        let last = end.div_ceil(self.line_bytes);
+        while line < last {
+            let set = line % self.num_sets;
+            let tag = line / self.num_sets;
+            self.lines.insert(set, (tag, false));
+            line += 1;
+        }
+    }
+
+    /// Invalidates everything (power failure).
+    pub fn invalidate_all(&mut self) {
+        self.lines.clear();
+    }
+
+    /// `(hits, misses)` counters.
+    pub fn hit_miss(&self) -> (u64, u64) {
+        (self.hits, self.misses)
     }
 }

@@ -61,8 +61,6 @@ pub struct MemController {
     /// was observed (a few-cycle filter against single-cycle transients;
     /// §IV-D's detection is otherwise immediate).
     deadlock_since: Option<u64>,
-    /// Cycles the full condition must persist before the fallback fires.
-    deadlock_grace: u64,
     /// Battery-backed undo log: `(region, addr, previous PM value)`.
     undo_log: Vec<(RegionId, u64, u64)>,
     /// WPQ slots reserved for flush-frontier entries, guaranteeing that
@@ -77,6 +75,48 @@ pub struct MemController {
     /// mutation of this controller that can move the horizon; a tracker
     /// mutation invalidates it via the version key.
     ev_memo: Option<(u64, Option<u64>)>,
+    /// Bumped by every operation that can change a [`RetryKey`] of
+    /// this controller (see [`MemController::changes`]).
+    changes: u64,
+}
+
+/// What a retry of a persist-path entry would do at this controller,
+/// short of the clock: the admission decision for the entry's region
+/// and, when that decision runs the §IV-D deadlock detector, the
+/// detector's timer. Two retries with equal keys before the timer's
+/// expiry have identical outcomes and side effects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RetryKey {
+    admission: Admission,
+    deadlock_since: Option<u64>,
+}
+
+impl RetryKey {
+    /// The first cycle at which a retry under this key can act
+    /// differently: the deadlock timer's expiry, when the retry runs
+    /// the detector on an armed timer.
+    pub fn deadline(&self) -> u64 {
+        self.deadlock_since
+            .map_or(u64::MAX, |t| t.saturating_add(DEADLOCK_GRACE))
+    }
+}
+
+/// Cycles the WPQ-full-without-frontier-boundary condition must persist
+/// before the overflow fallback fires.
+const DEADLOCK_GRACE: u64 = 4;
+
+/// How an insert would be admitted, before any side effect.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Admission {
+    /// The overflow fallback declines a non-frontier region.
+    Declined,
+    /// Younger regions may not take the frontier's reserved slots.
+    Reserved,
+    /// The queue is full; `deadlock_watch` when the §IV-D detector
+    /// runs (no frontier boundary queued, fallback not yet active).
+    Full { deadlock_watch: bool },
+    /// The entry fits.
+    Accept,
 }
 
 impl MemController {
@@ -92,12 +132,12 @@ impl MemController {
             frontier_reserve: (config.wpq_entries / 16).clamp(1, 4),
             overflow_mode: false,
             deadlock_since: None,
-            deadlock_grace: 4,
             undo_log: Vec::new(),
             flushed_entries: 0,
             overflow_events: 0,
             declined_in_overflow: 0,
             ev_memo: None,
+            changes: 0,
         }
     }
 
@@ -161,6 +201,7 @@ impl MemController {
             if self.wpq.is_empty() {
                 self.ev_memo = None;
             }
+            self.changes += 1;
             self.wpq.insert(WpqEntry::from_persist(entry, home));
             if entry.kind == PersistKind::Boundary {
                 tracker.deliver_boundary(entry.region, self.id, now);
@@ -175,41 +216,34 @@ impl MemController {
         if entry.region <= frontier {
             self.ev_memo = None;
         }
-        if self.overflow_mode {
-            // Only the currently persisting region's stores (and its
-            // boundary, which ends the fallback) are accepted.
-            if entry.region != frontier {
+        match self.admission(entry.region, frontier) {
+            Admission::Declined => {
                 self.declined_in_overflow += 1;
                 return false;
             }
-        }
-        // Younger regions may not consume the frontier's reserved slots;
-        // without the reservation a queue full of younger stores could
-        // block the frontier's own stores forever (the path delivers in
-        // FIFO order, so the frontier core's entries are never stuck
-        // behind younger ones of the same core).
-        let is_frontier = entry.region <= frontier;
-        if !is_frontier && self.wpq.len() + self.frontier_reserve >= self.wpq.capacity() {
-            return false;
-        }
-        if !self.wpq.has_room() {
-            // §IV-D: "When a WPQ gets full, LightWSP checks if the bit is
-            // 0 … thus detecting a deadlock" — detection is immediate;
-            // a tiny grace period only filters single-cycle transients.
-            if !self.wpq.has_boundary_for(frontier) && !self.overflow_mode {
-                match self.deadlock_since {
-                    None => self.deadlock_since = Some(now),
-                    Some(t) if now.saturating_sub(t) >= self.deadlock_grace => {
-                        self.overflow_mode = true;
-                        self.overflow_events += 1;
-                        self.deadlock_since = None;
-                        self.ev_memo = None;
+            Admission::Reserved => return false,
+            Admission::Full { deadlock_watch } => {
+                if deadlock_watch {
+                    match self.deadlock_since {
+                        None => {
+                            self.deadlock_since = Some(now);
+                            self.changes += 1;
+                        }
+                        Some(t) if now.saturating_sub(t) >= DEADLOCK_GRACE => {
+                            self.overflow_mode = true;
+                            self.overflow_events += 1;
+                            self.deadlock_since = None;
+                            self.ev_memo = None;
+                            self.changes += 1;
+                        }
+                        Some(_) => {}
                     }
-                    Some(_) => {}
                 }
+                return false;
             }
-            return false;
+            Admission::Accept => {}
         }
+        self.changes += 1;
         self.deadlock_since = None;
         self.wpq.insert(WpqEntry::from_persist(entry, home));
         if entry.kind == PersistKind::Boundary {
@@ -221,6 +255,72 @@ impl MemController {
             }
         }
         true
+    }
+
+    /// The gated admission decision for a `region` entry against the
+    /// flush `frontier`, free of side effects.
+    fn admission(&self, region: RegionId, frontier: RegionId) -> Admission {
+        // In the overflow fallback only the currently persisting
+        // region's stores (and its boundary, which ends the fallback)
+        // are accepted.
+        if self.overflow_mode && region != frontier {
+            return Admission::Declined;
+        }
+        // Younger regions may not consume the frontier's reserved slots;
+        // without the reservation a queue full of younger stores could
+        // block the frontier's own stores forever (the path delivers in
+        // FIFO order, so the frontier core's entries are never stuck
+        // behind younger ones of the same core).
+        if region > frontier && self.wpq.len() + self.frontier_reserve >= self.wpq.capacity() {
+            return Admission::Reserved;
+        }
+        if !self.wpq.has_room() {
+            // §IV-D: "When a WPQ gets full, LightWSP checks if the bit is
+            // 0 … thus detecting a deadlock" — detection is immediate;
+            // a tiny grace period only filters single-cycle transients.
+            return Admission::Full {
+                deadlock_watch: !self.wpq.has_boundary_for(frontier) && !self.overflow_mode,
+            };
+        }
+        Admission::Accept
+    }
+
+    /// The [`RetryKey`] of an entry of `region` offered now. A
+    /// persist-path head that this controller rejected without changing
+    /// the key retries with identical effects — one more decline count
+    /// at most — for as long as the key holds and the cycle stays below
+    /// [`RetryKey::deadline`], so the event-driven stepper parks it
+    /// instead of retrying every cycle.
+    pub fn retry_key(&self, region: RegionId, tracker: &RegionTracker) -> RetryKey {
+        let admission = match self.mode {
+            FlushMode::Immediate if self.wpq.has_room() => Admission::Accept,
+            FlushMode::Immediate => Admission::Full {
+                deadlock_watch: false,
+            },
+            FlushMode::Gated => self.admission(region, tracker.flush_pos(self.id)),
+        };
+        let watch = admission
+            == Admission::Full {
+                deadlock_watch: true,
+            };
+        RetryKey {
+            admission,
+            deadlock_since: if watch { self.deadlock_since } else { None },
+        }
+    }
+
+    /// A counter that moves whenever an operation may have changed the
+    /// [`RetryKey`] of some region: every insert, deadlock-timer or
+    /// overflow transition, tick (flushes and flush-position moves) and
+    /// power failure. Equal counts guarantee unchanged keys.
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+
+    /// Books `n` declined inserts at once: the retries of a parked
+    /// head that the overflow fallback would have declined one by one.
+    pub fn note_declined(&mut self, n: u64) {
+        self.declined_in_overflow += n;
     }
 
     /// True while the overflow fallback is active.
@@ -241,6 +341,7 @@ impl MemController {
         flushed: &mut Vec<WpqEntry>,
     ) {
         self.ev_memo = None;
+        self.changes += 1;
         self.wpq.sample_occupancy();
 
         if self.mode == FlushMode::Immediate {
@@ -382,6 +483,7 @@ impl MemController {
         pm: &mut PersistentMemory,
     ) -> FailureResolution {
         self.ev_memo = None;
+        self.changes += 1;
         let mut entries = self.wpq.drain_all();
         // §IV-F steps 3–5 flush region by region in flush-ID order;
         // entries from different cores may sit in the queue out of

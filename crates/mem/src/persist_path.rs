@@ -154,9 +154,11 @@ impl PersistPath {
         popped
     }
 
-    /// Records one cycle of head-of-line blocking (full target WPQ).
-    pub fn note_hol_block(&mut self) {
-        self.hol_blocked_cycles += 1;
+    /// Records `n` cycles of head-of-line blocking (full target WPQ):
+    /// one per rejected delivery, or a parked head's skipped retries at
+    /// once.
+    pub fn note_hol_blocks(&mut self, n: u64) {
+        self.hol_blocked_cycles += n;
     }
 
     /// True if any in-flight entry falls in the cache line at

@@ -52,14 +52,15 @@ pub struct Wpq {
     /// removes from the *front* (oldest-first) once per flushed entry —
     /// a `Vec` would shift the whole tail each time.
     entries: VecDeque<WpqEntry>,
-    /// Entries per region, kept in lockstep with `entries` so the
-    /// event-scan hot path answers [`Wpq::has_region`] /
-    /// [`Wpq::count_region`] without walking the queue. Sorted by
+    /// `(region, entries, boundary tokens)` per queued region, kept in
+    /// lockstep with `entries` so the event-scan hot path answers
+    /// [`Wpq::has_region`] / [`Wpq::count_region`] /
+    /// [`Wpq::has_boundary_for`] without walking the queue. Sorted by
     /// region ID and kept as a flat vec: regions arrive in roughly
     /// ascending order and drain from the oldest, so inserts probe from
     /// the back and lookups for the flush frontier hit the front — one
     /// compare each in the common case, no hashing.
-    region_counts: Vec<(RegionId, u32)>,
+    region_counts: Vec<(RegionId, u32, u32)>,
     capacity: usize,
     inserts: u64,
     cam_searches: u64,
@@ -107,37 +108,40 @@ impl Wpq {
             "WPQ overflow must be handled by the caller"
         );
         self.inserts += 1;
-        self.count(entry.region);
+        self.count(entry.region, entry.is_boundary);
         self.entries.push_back(entry);
         self.max_occupancy = self.max_occupancy.max(self.entries.len());
     }
 
     /// Adds one entry of `region` to the count index. New regions are
     /// the youngest almost always, so probe from the back.
-    fn count(&mut self, region: RegionId) {
+    fn count(&mut self, region: RegionId, is_boundary: bool) {
         let mut i = self.region_counts.len();
         while i > 0 {
             match self.region_counts[i - 1].0 {
                 r if r == region => {
                     self.region_counts[i - 1].1 += 1;
+                    self.region_counts[i - 1].2 += is_boundary as u32;
                     return;
                 }
                 r if r < region => break,
                 _ => i -= 1,
             }
         }
-        self.region_counts.insert(i, (region, 1));
+        self.region_counts
+            .insert(i, (region, 1, is_boundary as u32));
     }
 
     /// Removes one entry of `region` from the count index. Drained
     /// regions are the oldest almost always, so probe from the front.
-    fn uncount(&mut self, region: RegionId) {
+    fn uncount(&mut self, region: RegionId, is_boundary: bool) {
         let i = self
             .region_counts
             .iter()
-            .position(|&(r, _)| r == region)
+            .position(|&(r, _, _)| r == region)
             .expect("count index out of sync");
         self.region_counts[i].1 -= 1;
+        self.region_counts[i].2 -= is_boundary as u32;
         if self.region_counts[i].1 == 0 {
             self.region_counts.remove(i);
         }
@@ -167,21 +171,22 @@ impl Wpq {
             return None;
         }
         let i = self.entries.iter().position(|e| e.region == region)?;
-        self.uncount(region);
         // Gated flushing drains the frontier region, whose entries are
         // the oldest in the queue — `i == 0` is the common case and a
         // ring-buffer pop; interleaved younger regions pay the shift.
-        if i == 0 {
+        let e = if i == 0 {
             self.entries.pop_front()
         } else {
             self.entries.remove(i)
-        }
+        }?;
+        self.uncount(region, e.is_boundary);
+        Some(e)
     }
 
     /// Removes and returns the oldest entry regardless of region.
     pub fn take_one_oldest(&mut self) -> Option<WpqEntry> {
         let e = self.entries.pop_front()?;
-        self.uncount(e.region);
+        self.uncount(e.region, e.is_boundary);
         Some(e)
     }
 
@@ -205,7 +210,7 @@ impl Wpq {
         let n = max.min(self.entries.len());
         let out: Vec<WpqEntry> = self.entries.drain(..n).collect();
         for e in &out {
-            self.uncount(e.region);
+            self.uncount(e.region, e.is_boundary);
         }
         out
     }
@@ -216,7 +221,7 @@ impl Wpq {
     pub fn count_region(&self, region: RegionId) -> usize {
         // The index is sorted ascending and queries target the flush
         // frontier — the oldest region — so scan from the front.
-        for &(r, n) in &self.region_counts {
+        for &(r, n, _) in &self.region_counts {
             if r >= region {
                 return if r == region { n as usize } else { 0 };
             }
@@ -233,9 +238,10 @@ impl Wpq {
     /// The §IV-D deadlock-detection bit: does the queue hold the
     /// boundary token for `region`?
     pub fn has_boundary_for(&self, region: RegionId) -> bool {
-        self.entries
+        self.region_counts
             .iter()
-            .any(|e| e.is_boundary && e.region == region)
+            .find(|&&(r, _, _)| r >= region)
+            .is_some_and(|&(r, _, b)| r == region && b != 0)
     }
 
     /// Drains every entry (power-failure recovery examines and then

@@ -1,8 +1,10 @@
 //! Property-based cache tests: the set-associative model must agree
 //! with a straightforward reference LRU implementation on hit/miss
-//! behaviour, and the direct-mapped model with a reference map.
+//! behaviour, and the direct-mapped model with a reference map and
+//! with the eagerly warmed [`DirectMappedCacheRef`].
 
 use lightwsp_mem::cache::{DirectMappedCache, SetAssocCache, VictimPolicy};
+use lightwsp_mem::cache_ref::DirectMappedCacheRef;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -103,6 +105,41 @@ proptest! {
             let (hit, _) = model.access(a, false);
             prop_assert_eq!(hit, reference[set] == Some(line), "addr {:#x}", a);
             reference[set] = Some(line);
+        }
+    }
+
+    /// Lazy warm tags are access-for-access equivalent to the eager
+    /// line-by-line prefill: random (overlapping, set-wrapping, longer
+    /// than the cache) warm ranges, interleaved with read/write streams
+    /// aimed at the warmed region and power-failure invalidations, on
+    /// power-of-two and non-power-of-two geometries.
+    #[test]
+    fn lazy_warm_tags_match_eager_prefill(
+        line_bytes in prop_oneof![Just(64u64), Just(48u64)],
+        capacity_lines in 1u64..48,
+        ops in prop::collection::vec((0u32..16, 0u64..(1 << 13), 0u64..200, any::<bool>()), 1..400),
+    ) {
+        let mut lazy = DirectMappedCache::new(capacity_lines * line_bytes, line_bytes);
+        let mut eager = DirectMappedCacheRef::new(capacity_lines * line_bytes, line_bytes);
+        for (i, &(kind, addr, len, write)) in ops.iter().enumerate() {
+            match kind {
+                0 | 1 => {
+                    // Byte range of up to ~4× the cache, unaligned ends.
+                    let end = addr + len * line_bytes * capacity_lines / 50 + len;
+                    lazy.prefill_range(addr, end);
+                    eager.prefill_range(addr, end);
+                }
+                2 => {
+                    lazy.invalidate_all();
+                    eager.invalidate_all();
+                }
+                _ => {
+                    let got = lazy.access(addr, write);
+                    let want = eager.access(addr, write);
+                    prop_assert_eq!(got, want, "op {} access {:#x} write {}", i, addr, write);
+                }
+            }
+            prop_assert_eq!(lazy.hit_miss(), eager.hit_miss(), "op {}", i);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Property tests for the WPQ's O(1) per-region count index.
 //!
-//! The event-driven stepper trusts `count_region`/`has_region` to
-//! answer from the `region_counts` map without walking the queue; a
-//! stale index would silently corrupt flush scheduling and the
-//! skip-ahead event scan. These properties drive the queue through
+//! The event-driven stepper trusts `count_region`/`has_region`/
+//! `has_boundary_for` to answer from the `region_counts` index without
+//! walking the queue; a stale index would silently corrupt flush
+//! scheduling, deadlock detection and the skip-ahead event scan. These properties drive the queue through
 //! random mutator sequences and recount from the raw entry list
 //! ([`Wpq::entries`]) after every step.
 
@@ -114,6 +114,8 @@ proptest! {
                     "index diverged for region {} after {:?}", region, op
                 );
                 prop_assert_eq!(q.has_region(region), actual > 0);
+                let boundary = q.entries().iter().any(|e| e.is_boundary && e.region == region);
+                prop_assert_eq!(q.has_boundary_for(region), boundary, "region {}", region);
             }
             prop_assert!(q.len() <= q.capacity());
         }

@@ -28,6 +28,7 @@
 
 pub mod config;
 pub mod consistency;
+mod coreset;
 pub mod crash;
 pub mod machine;
 pub mod stats;

@@ -3,8 +3,8 @@
 //! One [`Machine`] owns the functional state (per-thread interpreters +
 //! the volatile memory view) and the timing state (cores, caches, store
 //! buffers, front-end buffers, persist paths, memory controllers, the
-//! region-ordering tracker, and persistent memory). Each call to
-//! [`Machine::step_cycle`] advances one 2 GHz cycle:
+//! region-ordering tracker, and persistent memory). Each stepped 2 GHz
+//! cycle (`Machine::step_cycle`) runs three phases:
 //!
 //! 1. memory controllers flush WPQ entries onto PM channels and the
 //!    tracker commits regions whose flush-ACKs completed;
@@ -27,11 +27,17 @@
 //! reference stepper above, or the default event-driven skip-ahead,
 //! which asks every timed component for its `next_event` horizon and
 //! jumps straight to the earliest one, accounting the skipped interval's
-//! stall cycles and occupancy samples in closed form. The two are
-//! bit-identical in every reported statistic and in machine state at
-//! every observed cycle (enforced by `tests/step_mode_parity.rs`).
+//! stall cycles and occupancy samples in closed form. On a multi-core
+//! machine skip-ahead also steps a cycle in O(active cores): cores
+//! parked on a load miss or a full store buffer, and path heads parked
+//! on a full WPQ, are left out of the phases and charged their
+//! per-cycle stalls and retries in closed form when they wake (or when
+//! a run returns). The two modes
+//! are bit-identical in every reported statistic and in machine state
+//! at every observed cycle (enforced by `tests/step_mode_parity.rs`).
 
 use crate::config::{ExecMode, GatingMutant, Scheme, SimConfig, StepMode};
+use crate::coreset::CoreSet;
 use crate::stats::SimStats;
 use crate::trace::RegionTraceLog;
 use lightwsp_compiler::prune::RecoveryRecipes;
@@ -39,13 +45,28 @@ use lightwsp_ir::fxhash::FxHashMap;
 use lightwsp_ir::reg::NUM_REGS;
 use lightwsp_ir::{layout, DecodedProgram, DynEvent, Interp, Memory, Program, Reg, StoreKind};
 use lightwsp_mem::cache::{DirectMappedCache, SetAssocCache, VictimPolicy};
-use lightwsp_mem::controller::FlushMode;
+use lightwsp_mem::controller::{FlushMode, RetryKey};
 use lightwsp_mem::front_buffer::FrontBuffer;
 use lightwsp_mem::persist_path::{PersistEntry, PersistKind, PersistPath};
 use lightwsp_mem::pm::PersistentMemory;
 use lightwsp_mem::store_buffer::StoreBuffer;
 use lightwsp_mem::wpq::WpqEntry;
 use lightwsp_mem::{FailureResolution, MemController, RegionId, RegionTracker};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Runs `$body` for each core a scan of the set `$set` visits, in
+/// ascending order: the set's members when the machine parks cores,
+/// else every core (a one-core machine scans faster without the set).
+macro_rules! for_each_core {
+    ($self:ident, $set:ident, $ci:ident => $body:block) => {
+        if $self.parking {
+            for $ci in $self.$set.iter() $body
+        } else {
+            for $ci in 0..$self.cores.len() $body
+        }
+    };
+}
 
 /// What the §IV-F recovery protocol did at a power failure.
 #[derive(Clone, Debug, Default)]
@@ -151,6 +172,44 @@ struct CoreCtx {
     last_switch: u64,
     /// Boundary-token fan-out progress (which MCs accepted the head).
     bdry_progress: Vec<bool>,
+    /// Parking only: the last cycle whose load-miss stall has been
+    /// added to the stats while this core is parked on `stall_until`.
+    stall_charged: u64,
+    /// Parking only: a head-of-line-blocked path head parked on the
+    /// MCs that rejected it (see `HolPark`).
+    hol: Option<HolPark>,
+    /// Parking only: set while the core's single runnable thread is
+    /// parked on a full store buffer — the first cycle whose sb-full
+    /// stall has not been charged yet.
+    sb_blocked_since: Option<u64>,
+    /// Parking only: the machinery has nothing to do until its wake
+    /// cycle (`Machine::dormant_until`) or a change at an MC its parked
+    /// head watches, so machinery phases skip the core (see
+    /// `Machine::sleep_if_idle`).
+    dormant: bool,
+    /// Generation of the current dormancy; MC waiter entries of earlier
+    /// ones are stale.
+    dormant_gen: u32,
+}
+
+/// A path head whose last delivery attempt was rejected without
+/// changing any rejecting MC, parked until a retry could act
+/// differently: one of those MCs' retry key changes, or the earliest
+/// deadlock-timer expiry among them arrives. Until then every skipped
+/// retry would repeat the rejection exactly, so the skipped cycles are
+/// charged in closed form: one head-of-line cycle each, plus the per-MC
+/// overflow declines the retry would count.
+#[derive(Clone, Debug)]
+struct HolPark {
+    /// First cycle whose retry has not been charged yet.
+    since: u64,
+    /// First cycle at which the retry must run for real.
+    deadline: u64,
+    /// The head's region.
+    region: RegionId,
+    /// `(mc, retry key, declines per retry)` of each MC that rejected
+    /// the head.
+    watch: Vec<(usize, RetryKey, u64)>,
 }
 
 /// An opaque point-in-time snapshot of a [`Machine`], captured by
@@ -233,8 +292,38 @@ pub struct Machine {
     mach_horizon_stamp: u64,
     /// Bumped by every operation that can change persist-machinery
     /// state: a store-buffer push, a region close, a machinery cycle
-    /// ([`Machine::step_cycle`]), and power-failure recovery.
+    /// (`Machine::step_cycle`), and power-failure recovery.
     machinery_stamp: u64,
+    /// Threads not yet halted (`all_halted` without a thread scan).
+    live_threads: usize,
+    /// Skip-ahead on a machine of more than one core: cores and path
+    /// heads that can only count stalls are parked, and cycles visit
+    /// only active cores. A one-core machine has no other core to skip
+    /// and steps faster with plain loops, so it parks nothing.
+    parking: bool,
+    /// Parking only: cores with threads that are not parked on a
+    /// load miss or a full store buffer — the only cores a retire phase
+    /// visits.
+    awake: CoreSet,
+    /// Parking only: cores parked on a load miss, keyed by wake
+    /// cycle (`stall_until`).
+    stall_wakes: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Cores whose store buffer, front-end buffer or persist path holds
+    /// an entry and that are not dormant — the only cores a skip-ahead
+    /// machinery phase visits.
+    busy: CoreSet,
+    /// Parking only: per core, the cycle a dormant core's own
+    /// machinery next acts (`u64::MAX` when awake, or when only an MC
+    /// change can wake it). A dense vector: a stepped cycle scans it
+    /// in a few nanoseconds, where a wake heap would churn on every
+    /// short sleep.
+    dormant_until: Vec<u64>,
+    /// Parking only: per MC, the dormant cores whose parked head it
+    /// rejected, with the dormancy generation, and the MC's change count
+    /// when they were last checked.
+    mc_waiters: Vec<(u64, Vec<(usize, u32)>)>,
+    /// Total entries across `mc_waiters`.
+    mc_waiting: usize,
 }
 
 impl Machine {
@@ -309,10 +398,21 @@ impl Machine {
                 active: 0,
                 last_switch: 0,
                 bdry_progress: vec![false; mem.num_mcs],
+                stall_charged: 0,
+                hol: None,
+                sb_blocked_since: None,
+                dormant: false,
+                dormant_gen: 0,
             })
             .collect();
         for tid in 0..num_threads {
             cores[tid % cfg.num_cores].threads.push(tid);
+        }
+        let mut awake = CoreSet::new(cores.len());
+        for (ci, c) in cores.iter().enumerate() {
+            if !c.threads.is_empty() {
+                awake.insert(ci);
+            }
         }
 
         let tracker = RegionTracker::new(mem.num_mcs, mem.noc_latency);
@@ -328,15 +428,6 @@ impl Machine {
         }
 
         let mut dram = DirectMappedCache::new(mem.dram_cache_bytes, mem.line_bytes);
-        // Pre-size the sparse tag table for the warm working set so
-        // neither this machine nor its crash-sweep forks pay incremental
-        // rehash-and-grow on first touch.
-        let warm_lines: u64 = cfg
-            .warm_dram
-            .iter()
-            .map(|&(start, end)| end.saturating_sub(start).div_ceil(mem.line_bytes))
-            .sum();
-        dram.reserve_lines(warm_lines);
         for &(start, end) in &cfg.warm_dram {
             dram.prefill_range(start, end);
         }
@@ -361,6 +452,14 @@ impl Machine {
             mach_horizon: 0,
             mach_horizon_stamp: u64::MAX,
             machinery_stamp: 0,
+            live_threads: num_threads,
+            parking: cfg.step_mode == StepMode::SkipAhead && cfg.num_cores > 1,
+            awake,
+            stall_wakes: BinaryHeap::new(),
+            busy: CoreSet::new(cfg.num_cores),
+            dormant_until: vec![u64::MAX; cfg.num_cores],
+            mc_waiters: vec![(0, Vec::new()); mem.num_mcs],
+            mc_waiting: 0,
             threads,
             cores,
             program,
@@ -436,7 +535,12 @@ impl Machine {
 
     /// True once every thread has halted.
     pub fn all_halted(&self) -> bool {
-        self.threads.iter().all(|t| t.halted)
+        debug_assert_eq!(
+            self.live_threads == 0,
+            self.threads.iter().all(|t| t.halted),
+            "live-thread counter out of sync"
+        );
+        self.live_threads == 0
     }
 
     /// Per-thread `(halted, current program point)` snapshot — the
@@ -485,6 +589,17 @@ impl Machine {
     /// destination is clamped to both the target and the cap so the
     /// machine lands on those cycles exactly, never beyond.
     fn advance(&mut self, target: Option<u64>) -> Stop {
+        let stop = self.advance_loop(target);
+        // Parked cores and heads owe charges up to the landing cycle;
+        // everything a caller can read from here on sees them.
+        self.fold_parked_charges();
+        if !matches!(stop, Stop::Target) {
+            self.finish_stats();
+        }
+        stop
+    }
+
+    fn advance_loop(&mut self, target: Option<u64>) -> Stop {
         loop {
             if let Some(t) = target {
                 if self.now >= t {
@@ -492,11 +607,9 @@ impl Machine {
                 }
             }
             if self.all_halted() && self.drained() {
-                self.finish_stats();
                 return Stop::Finished;
             }
             if self.now >= self.cfg.max_cycles {
-                self.finish_stats();
                 return Stop::MaxCycles;
             }
             if self.cfg.step_mode == StepMode::SkipAhead {
@@ -641,37 +754,22 @@ impl Machine {
         let mut next = u64::MAX;
         let persist = self.cfg.scheme.uses_persist_path();
 
-        for c in &self.cores {
-            if persist {
-                // Path head delivery — or a head-of-line retry, which
-                // must run every cycle (try_insert arms the §IV-D
-                // deadlock detector on each rejection).
-                if let Some(t) = c.path.next_event(now) {
-                    if t <= soon {
-                        return soon;
-                    }
-                    next = next.min(t);
-                }
-                // FEB → path, gated by path bandwidth and capacity (a
-                // full transit window frees only when the head pops —
-                // covered by the head-arrival event above).
-                if c.feb.next_event(now).is_some() {
-                    if let Some(t) = c.path.issue_ready_at() {
-                        if t <= soon {
-                            return soon;
-                        }
-                        next = next.min(t);
-                    }
-                }
-                // SB → L1 + FEB, whenever the FEB admits.
-                if c.sb.next_event(now).is_some() && c.feb.has_room() {
-                    return soon;
-                }
-            } else if c.sb.next_event(now).is_some() {
-                // Regular-path-only drain: one store per cycle.
+        // Idle cores (all three queues empty) have no machinery event;
+        // dormant ones act at their wake cycle or on an MC change, which
+        // only an MC tick or another head's delivery makes — both events
+        // of their own.
+        let wake = self.dormant_until.iter().copied().min().unwrap_or(u64::MAX);
+        if wake <= soon {
+            return soon;
+        }
+        next = next.min(wake);
+        for_each_core!(self, busy, ci => {
+            let t = self.core_machinery_event(ci);
+            if t <= soon {
                 return soon;
             }
-        }
+            next = next.min(t);
+        });
 
         if persist {
             if let Some(t) = self.tracker.next_event() {
@@ -693,6 +791,55 @@ impl Machine {
         next
     }
 
+    /// The earliest future cycle at which core `ci`'s machinery can act
+    /// on its own: `now + 1` if it can move something next cycle, else
+    /// the earliest of its head's arrival (or, for a parked head, its
+    /// deadline) and its path's next issue slot; `u64::MAX` if only an
+    /// MC change can unblock it.
+    fn core_machinery_event(&self, ci: usize) -> u64 {
+        let now = self.now;
+        let soon = now + 1;
+        let c = &self.cores[ci];
+        if !self.cfg.scheme.uses_persist_path() {
+            // Regular-path-only drain: one store per cycle.
+            return if c.sb.next_event(now).is_some() {
+                soon
+            } else {
+                u64::MAX
+            };
+        }
+        let mut next = u64::MAX;
+        // Path head delivery — or a head-of-line retry, which runs every
+        // cycle (try_insert arms the §IV-D deadlock detector on a
+        // rejection) unless the head is parked: then it next acts at its
+        // deadline, or when one of its MCs changes.
+        if let Some(mut t) = c.path.next_event(now) {
+            if t <= now && self.hol_parked(ci, soon) {
+                t = c.hol.as_ref().map_or(soon, |h| h.deadline);
+            }
+            if t <= soon {
+                return soon;
+            }
+            next = t;
+        }
+        // FEB → path, gated by path bandwidth and capacity (a full
+        // transit window frees only when the head pops — covered by the
+        // head event above).
+        if c.feb.next_event(now).is_some() {
+            if let Some(t) = c.path.issue_ready_at() {
+                if t <= soon {
+                    return soon;
+                }
+                next = next.min(t);
+            }
+        }
+        // SB → L1 + FEB, whenever the FEB admits.
+        if c.sb.next_event(now).is_some() && c.feb.has_room() {
+            return soon;
+        }
+        next
+    }
+
     /// The earliest future cycle at which any core's retire stage does
     /// something: `now + 1` if a thread can retire next cycle, else the
     /// earliest stall expiry / spin wake. Waits cleared only by flush
@@ -700,9 +847,14 @@ impl Machine {
     fn retire_next_event(&self) -> u64 {
         let now = self.now;
         let soon = now + 1;
-        let mut next = u64::MAX;
+        // Cores parked on a load miss wake at their stall expiry.
+        let mut next = self
+            .stall_wakes
+            .peek()
+            .map_or(u64::MAX, |&Reverse((wake, _))| wake);
 
-        for c in &self.cores {
+        for_each_core!(self, awake, ci => {
+            let c = &self.cores[ci];
             // Mirrors `retire_core`'s branch order.
             if c.threads.is_empty() {
                 continue;
@@ -750,7 +902,7 @@ impl Machine {
                     next = next.min(soon);
                 }
             }
-        }
+        });
         next
     }
 
@@ -772,7 +924,15 @@ impl Machine {
         }
         // Branch order mirrors `retire_core`: load-miss stall first,
         // then the boundary waits (Capri commit wait / PPA drain wait).
-        for c in &self.cores {
+        // Parked cores are charged when they wake; the skip never
+        // crosses a wake or a stall expiry (both are
+        // `retire_next_event` horizons).
+        debug_assert!(self
+            .stall_wakes
+            .peek()
+            .is_none_or(|&Reverse((wake, _))| now + cycles < wake));
+        for_each_core!(self, awake, ci => {
+            let c = &self.cores[ci];
             if c.threads.is_empty() {
                 continue;
             }
@@ -795,9 +955,9 @@ impl Machine {
                     self.stats.stall_sb_full += cycles;
                 }
             }
-            // Otherwise the core is parked (spinning or halted threads):
-            // the reference stepper counts nothing for it either.
-        }
+            // Otherwise every thread spins or has halted: the
+            // reference stepper counts nothing for the core either.
+        });
         self.now += cycles;
     }
 
@@ -856,7 +1016,7 @@ impl Machine {
     }
 
     /// Advances one cycle.
-    pub fn step_cycle(&mut self) {
+    fn step_cycle(&mut self) {
         self.now += 1;
         let now = self.now;
         // The machinery phases below move queues and protocol state.
@@ -900,25 +1060,209 @@ impl Machine {
         }
 
         // --- 2. persist machinery movement per core -------------------
-        for ci in 0..self.cores.len() {
-            if self.cfg.scheme.uses_persist_path() {
-                self.move_persist_queues(ci, now);
-            } else if let Some(e) = self.cores[ci].sb.pop() {
-                // Regular-path-only schemes still drain the store buffer
-                // into L1 one store per cycle.
-                self.regular_path_store(ci, e.addr);
+        if self.parking {
+            self.move_busy_machinery(now);
+        } else {
+            for ci in 0..self.cores.len() {
+                self.move_core_machinery(ci, now);
             }
         }
 
         // --- 3. retire ------------------------------------------------
+        self.retire_phase(now);
+    }
+
+    /// The parking machinery phase: only busy cores move, and a core
+    /// whose parked head waits on its MCs goes dormant. Kept out of
+    /// line so the one-core loop of `step_cycle` stays small.
+    #[inline(never)]
+    fn move_busy_machinery(&mut self, now: u64) {
+        // Cores with empty queues have nothing to move, and dormant ones
+        // nothing until their wake cycle or an MC change.
         for ci in 0..self.cores.len() {
+            if self.dormant_until[ci] <= now {
+                self.wake_core(ci);
+            }
+        }
+        self.wake_mc_waiters();
+        let mut busy = self.busy.first_from(0);
+        while let Some(ci) = busy {
+            self.move_core_machinery(ci, now);
+            self.wake_mc_waiters();
+            self.sleep_if_idle(ci);
+            busy = self.busy.first_from(ci + 1);
+        }
+    }
+
+    /// One core's machinery phase.
+    fn move_core_machinery(&mut self, ci: usize, now: u64) {
+        if self.cfg.scheme.uses_persist_path() {
+            self.move_persist_queues(ci, now);
+        } else if let Some(e) = self.cores[ci].sb.pop() {
+            // Regular-path-only schemes still drain the store buffer
+            // into L1 one store per cycle.
+            self.regular_path_store(ci, e.addr);
+        }
+        let c = &mut self.cores[ci];
+        if c.sb.is_empty() && c.feb.is_empty() && c.path.is_empty() {
+            self.busy.remove(ci);
+        }
+        if c.sb.has_room() {
+            if let Some(since) = c.sb_blocked_since.take() {
+                // The drain made room: this cycle's retire runs.
+                self.stats.stall_sb_full += now - since;
+                self.awake.insert(ci);
+            }
+        }
+    }
+
+    /// Returns dormant core `ci` to the machinery phases.
+    fn wake_core(&mut self, ci: usize) {
+        self.cores[ci].dormant = false;
+        self.dormant_until[ci] = u64::MAX;
+        self.busy.insert(ci);
+    }
+
+    /// After core `ci`'s machinery phase: if its head is parked and
+    /// nothing else can move before its next own event (beyond next
+    /// cycle), makes it dormant until then, watching the MCs the head
+    /// waits on. Because an MC change wakes exactly the watchers whose
+    /// retry it affects, and wakes them before their slot in core
+    /// order, a dormant core's skipped visits are all no-ops apart from
+    /// the parked head's charged retries. Cores without a parked head
+    /// stay on the visit list: their waits are short, and sleeping
+    /// costs more than the visits it saves.
+    fn sleep_if_idle(&mut self, ci: usize) {
+        if self.cores[ci].hol.is_none() {
+            return;
+        }
+        let wake = self.core_machinery_event(ci);
+        if wake <= self.now + 1 {
+            return;
+        }
+        let c = &mut self.cores[ci];
+        c.dormant = true;
+        c.dormant_gen = c.dormant_gen.wrapping_add(1);
+        let gen = c.dormant_gen;
+        self.busy.remove(ci);
+        self.dormant_until[ci] = wake;
+        if let Some(h) = &c.hol {
+            for &(m, ..) in &h.watch {
+                self.mc_waiters[m].1.push((ci, gen));
+                self.mc_waiting += 1;
+            }
+        }
+    }
+
+    /// Wakes, for every MC that changed since its waiters were last
+    /// checked, each waiter whose parked head's retry would now act
+    /// differently (or whose dormancy ended otherwise — dropped).
+    fn wake_mc_waiters(&mut self) {
+        if self.mc_waiting == 0 {
+            return;
+        }
+        for m in 0..self.mcs.len() {
+            let changes = self.mcs[m].changes();
+            if self.mc_waiters[m].0 == changes || self.mc_waiters[m].1.is_empty() {
+                continue;
+            }
+            let mut waiters = std::mem::take(&mut self.mc_waiters[m].1);
+            self.mc_waiting -= waiters.len();
+            waiters.retain(|&(ci, gen)| {
+                let c = &self.cores[ci];
+                if !c.dormant || c.dormant_gen != gen {
+                    return false;
+                }
+                if self.hol_parked(ci, self.now) {
+                    return true;
+                }
+                self.wake_core(ci);
+                false
+            });
+            self.mc_waiting += waiters.len();
+            self.mc_waiters[m] = (changes, waiters);
+        }
+    }
+
+    /// The retire phase of cycle `now`. Without parking (the reference
+    /// stepper, or a one-core machine) it visits every core. With
+    /// parking it first wakes the cores whose load-miss stall ends now,
+    /// charging each its parked stall cycles, and then visits only
+    /// awake cores, in the same ascending order. A core leaves the
+    /// awake set when its retire can only count one stall per cycle
+    /// until something else happens: a load miss (until `stall_until`),
+    /// or a single runnable thread facing a full store buffer (until
+    /// its own machinery drains an entry).
+    fn retire_phase(&mut self, now: u64) {
+        if self.parking {
+            self.retire_awake_cores(now);
+        } else {
+            for ci in 0..self.cores.len() {
+                self.retire_core(ci, now);
+            }
+        }
+    }
+
+    /// The parking retire phase (see [`Machine::retire_phase`]). Kept
+    /// out of line so the one-core loop above stays small.
+    #[inline(never)]
+    fn retire_awake_cores(&mut self, now: u64) {
+        while let Some(&Reverse((wake, ci))) = self.stall_wakes.peek() {
+            if wake > now {
+                break;
+            }
+            self.stall_wakes.pop();
+            let c = &mut self.cores[ci];
+            self.stats.stall_load_miss += wake - 1 - c.stall_charged;
+            self.awake.insert(ci);
+        }
+        let mut awake = self.awake.first_from(0);
+        while let Some(ci) = awake {
             self.retire_core(ci, now);
+            let c = &mut self.cores[ci];
+            if c.stall_until > now {
+                self.awake.remove(ci);
+                c.stall_charged = now;
+                self.stall_wakes.push(Reverse((c.stall_until, ci)));
+            } else if c.threads.len() == 1
+                && !c.sb.has_room()
+                && c.wait_for_commit.is_none()
+                && !c.wait_outstanding
+            {
+                let th = &self.threads[c.threads[0]];
+                if !th.halted && th.spin_until <= now + 1 {
+                    self.awake.remove(ci);
+                    c.sb_blocked_since = Some(now + 1);
+                }
+            }
+            awake = self.awake.first_from(ci + 1);
+        }
+    }
+
+    /// Charges every parked core its load-miss stall cycles and every
+    /// parked path head its retries, through the current cycle. Run
+    /// wherever the stats or the paths' counters become observable: at
+    /// every exit of [`Machine::advance`] and before a power failure.
+    fn fold_parked_charges(&mut self) {
+        let now = self.now;
+        for &Reverse((wake, ci)) in &self.stall_wakes {
+            let c = &mut self.cores[ci];
+            let through = now.min(wake - 1);
+            self.stats.stall_load_miss += through.saturating_sub(c.stall_charged);
+            c.stall_charged = c.stall_charged.max(through);
+        }
+        for ci in 0..self.cores.len() {
+            self.charge_hol(ci, now);
+            if let Some(since) = &mut self.cores[ci].sb_blocked_since {
+                self.stats.stall_sb_full += now + 1 - *since;
+                *since = now + 1;
+            }
         }
     }
 
     /// Advances one cycle executing only the retire stage. Sound only
     /// when [`Machine::machinery_next_event`] has proved that the
-    /// machinery phases of [`Machine::step_cycle`] would be no-ops on
+    /// machinery phases of `Machine::step_cycle` would be no-ops on
     /// this cycle; the WPQ occupancy sample — the one per-cycle effect
     /// an idle machinery tick does have — is applied directly, exactly
     /// as [`Machine::skip_idle_cycles`] does. The decoded-mode run loop
@@ -932,48 +1276,15 @@ impl Machine {
                 mc.wpq_mut().sample_occupancy_n(1);
             }
         }
-        for ci in 0..self.cores.len() {
-            self.retire_core(ci, now);
-        }
+        self.retire_phase(now);
     }
 
     /// Path head → WPQ(s); FEB → path; SB → L1 + FEB.
     fn move_persist_queues(&mut self, ci: usize, now: u64) {
         // Deliver at most one path head per cycle.
         if let Some(head) = self.cores[ci].path.head_arrived(now).copied() {
-            match head.kind {
-                PersistKind::Data => {
-                    let mc = self.cfg.mem.mc_of(head.addr);
-                    if self.mcs[mc].try_insert(&head, true, now, &mut self.tracker) {
-                        self.cores[ci].path.pop_head();
-                    } else {
-                        self.cores[ci].path.note_hol_block();
-                    }
-                }
-                PersistKind::Boundary => {
-                    // The token must enter every WPQ (the broadcast).
-                    let home_mc = self.cfg.mem.mc_of(head.addr);
-                    let mut all_in = true;
-                    for m in 0..self.mcs.len() {
-                        if self.cores[ci].bdry_progress[m] {
-                            continue;
-                        }
-                        if self.mcs[m].try_insert(&head, m == home_mc, now, &mut self.tracker) {
-                            self.cores[ci].bdry_progress[m] = true;
-                        } else {
-                            all_in = false;
-                        }
-                    }
-                    if all_in {
-                        for f in &mut self.cores[ci].bdry_progress {
-                            *f = false;
-                        }
-                        self.trace.note_delivered(head.region, now);
-                        self.cores[ci].path.pop_head();
-                    } else {
-                        self.cores[ci].path.note_hol_block();
-                    }
-                }
+            if !self.hol_parked(ci, now) {
+                self.deliver_head(ci, head, now);
             }
         }
 
@@ -990,6 +1301,99 @@ impl Machine {
             self.regular_path_store(ci, e.addr);
             self.cores[ci].feb.push(e);
             self.cores[ci].outstanding += 1;
+        }
+    }
+
+    /// Offers the arrived path head of core `ci` to its WPQ — a
+    /// boundary token to every WPQ that has not taken it yet. A head
+    /// that stays blocked counts a head-of-line cycle; under skip-ahead
+    /// it is parked when its rejection changed no rejecting MC.
+    fn deliver_head(&mut self, ci: usize, head: PersistEntry, now: u64) {
+        self.charge_hol(ci, now - 1);
+        let mut watch = self.cores[ci]
+            .hol
+            .take()
+            .map(|h| h.watch)
+            .unwrap_or_default();
+        watch.clear();
+        let parking = self.parking;
+        let home_mc = self.cfg.mem.mc_of(head.addr);
+        let mut all_in = true;
+        let mut repeatable = parking;
+        for m in 0..self.mcs.len() {
+            let wanted = match head.kind {
+                PersistKind::Data => m == home_mc,
+                // The token must enter every WPQ (the broadcast).
+                PersistKind::Boundary => !self.cores[ci].bdry_progress[m],
+            };
+            if !wanted {
+                continue;
+            }
+            let changes = self.mcs[m].changes();
+            let declined = self.mcs[m].stats().2;
+            if self.mcs[m].try_insert(&head, m == home_mc, now, &mut self.tracker) {
+                self.cores[ci].bdry_progress[m] = head.kind == PersistKind::Boundary;
+                continue;
+            }
+            all_in = false;
+            if parking {
+                // Parkable only if the rejection changed nothing at the
+                // MC: then the key it left is the one the retry saw.
+                repeatable &= self.mcs[m].changes() == changes;
+                let key = self.mcs[m].retry_key(head.region, &self.tracker);
+                watch.push((m, key, self.mcs[m].stats().2 - declined));
+            }
+        }
+        if all_in {
+            self.cores[ci].bdry_progress.fill(false);
+            if head.kind == PersistKind::Boundary {
+                self.trace.note_delivered(head.region, now);
+            }
+            self.cores[ci].path.pop_head();
+            return;
+        }
+        self.cores[ci].path.note_hol_blocks(1);
+        if !repeatable {
+            return;
+        }
+        let deadline = watch.iter().map(|(_, key, _)| key.deadline()).min();
+        if let Some(deadline) = deadline.filter(|&d| d > now + 1) {
+            self.cores[ci].hol = Some(HolPark {
+                since: now + 1,
+                deadline,
+                region: head.region,
+                watch,
+            });
+        }
+    }
+
+    /// True if core `ci`'s path head is parked and its retry at cycle
+    /// `at` would repeat its last rejection exactly.
+    fn hol_parked(&self, ci: usize, at: u64) -> bool {
+        self.cores[ci].hol.as_ref().is_some_and(|h| {
+            at < h.deadline
+                && h.watch
+                    .iter()
+                    .all(|&(m, key, _)| self.mcs[m].retry_key(h.region, &self.tracker) == key)
+        })
+    }
+
+    /// Charges core `ci`'s parked head every skipped retry through
+    /// cycle `through`: a head-of-line cycle each, and the declines
+    /// each retry would have counted at its MCs.
+    fn charge_hol(&mut self, ci: usize, through: u64) {
+        let CoreCtx { hol, path, .. } = &mut self.cores[ci];
+        let Some(h) = hol.as_mut() else {
+            return;
+        };
+        let n = (through + 1).saturating_sub(h.since);
+        if n == 0 {
+            return;
+        }
+        h.since += n;
+        path.note_hol_blocks(n);
+        for &(m, _, per_retry) in &h.watch {
+            self.mcs[m].note_declined(n * per_retry);
         }
     }
 
@@ -1177,8 +1581,7 @@ impl Machine {
             kind: PersistKind::Boundary,
             core: ci,
         };
-        self.cores[ci].sb.push(entry);
-        self.machinery_stamp += 1;
+        self.push_store(ci, entry);
         self.cores[ci].outstanding += 1;
         self.trace.note_boundary(ending, tid, now);
         let (insts, stores) = {
@@ -1243,20 +1646,30 @@ impl Machine {
             }
             self.vmem.write_word(slot, val);
             self.trace.note_store(region);
-            self.cores[ci].sb.push(PersistEntry {
-                addr: slot & !7,
-                val,
-                region,
-                kind: PersistKind::Data,
-                core: ci,
-            });
-            self.machinery_stamp += 1;
+            self.push_store(
+                ci,
+                PersistEntry {
+                    addr: slot & !7,
+                    val,
+                    region,
+                    kind: PersistKind::Data,
+                    core: ci,
+                },
+            );
             self.stats.persist_stores += 1;
             self.stats.forced_ckpt_stores += 1;
             self.threads[tid].region_stores += 1;
         }
         let pc = self.threads[tid].interp.point().encode();
         self.end_region(ci, tid, pc, now)
+    }
+
+    /// Pushes a store (or boundary token) into core `ci`'s store buffer,
+    /// arming the machinery.
+    fn push_store(&mut self, ci: usize, entry: PersistEntry) {
+        self.cores[ci].sb.push(entry);
+        self.wake_core(ci);
+        self.machinery_stamp += 1;
     }
 
     /// Retire up to `width` events on core `ci`.
@@ -1417,8 +1830,7 @@ impl Machine {
                         kind: PersistKind::Data,
                         core: ci,
                     };
-                    self.cores[ci].sb.push(entry);
-                    self.machinery_stamp += 1;
+                    self.push_store(ci, entry);
                     slots -= 1;
 
                     // PPA: hardware-delineated region boundary when the
@@ -1485,9 +1897,11 @@ impl Machine {
                         // store buffer is full.
                         if self.synthetic_close(ci, tid, now) {
                             self.threads[tid].halted = true;
+                            self.live_threads -= 1;
                         }
                     } else {
                         self.threads[tid].halted = true;
+                        self.live_threads -= 1;
                     }
                     slots = 0;
                 }
@@ -1552,6 +1966,7 @@ impl Machine {
     /// just the end state. Honors `SimConfig::gating_mutant`, but
     /// always records the tracker's honest survivable set alongside.
     pub fn inject_power_failure_audited(&mut self) -> CrashCapture {
+        self.fold_parked_charges();
         self.stats.failures += 1;
         // Recovery clears the volatile machinery wholesale.
         self.machinery_stamp += 1;
@@ -1609,6 +2024,21 @@ impl Machine {
             c.wait_outstanding = false;
             c.outstanding = 0;
             c.bdry_progress.iter_mut().for_each(|f| *f = false);
+            c.hol = None;
+            c.sb_blocked_since = None;
+            c.dormant = false;
+        }
+        self.busy.clear();
+        self.dormant_until.fill(u64::MAX);
+        for (_, waiters) in &mut self.mc_waiters {
+            waiters.clear();
+        }
+        self.mc_waiting = 0;
+        self.stall_wakes.clear();
+        for (ci, c) in self.cores.iter().enumerate() {
+            if !c.threads.is_empty() {
+                self.awake.insert(ci);
+            }
         }
         self.l2.invalidate_all();
         self.dram.invalidate_all();
@@ -1643,6 +2073,7 @@ impl Machine {
             th.cur_region = None;
             report.resume_points.push(th.interp.point());
         }
+        self.live_threads = self.threads.len();
         CrashCapture {
             at_cycle,
             commit_frontier,

@@ -8,10 +8,14 @@
 //! crash-time `FailureResolution` must be bit-identical — across all six
 //! schemes, several machine configurations (including multi-MC and
 //! multithreaded ones), randomized workloads, and arbitrary crash
-//! cycles.
+//! cycles. The multi-core cases cover the regime where skip-ahead parks
+//! cores: Fig. 16's one-core-per-thread cells at 64 cores, threads ≫
+//! cores under every preemption quantum, tiny WPQs that force
+//! head-of-line retries and the overflow fallback, and `run_until`
+//! landings (and a power cut) inside stall-heavy windows.
 
 use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
-use lightwsp_core::{Experiment, ExperimentOptions};
+use lightwsp_core::{cell_config, Experiment, ExperimentOptions};
 use lightwsp_sim::{Machine, Scheme, SimConfig, StepMode};
 use lightwsp_workloads::{workload, Suite, WorkloadSpec};
 use proptest::prelude::*;
@@ -209,6 +213,103 @@ fn crash_resolutions_identical_at_identical_cycles() {
         );
         assert!(reference.pm_contents().same_contents(skip.pm_contents()));
     }
+}
+
+/// Fig. 16-shape cells: one core per thread at 64 threads on the
+/// figure's 4k floor budget, built exactly as the campaign builds them
+/// (warm DRAM window, scaled caches). Both modes must agree on every
+/// statistic, the PM image and the I/O log.
+#[test]
+fn fig16_cells_64_cores_step_identically() {
+    for name in ["intruder", "tatp"] {
+        for scheme in [Scheme::Baseline, Scheme::LightWsp] {
+            let mut w = workload(name).unwrap();
+            w.threads = 64;
+            let cfg = cell_config(
+                &ExperimentOptions::paper_default().sim,
+                &w,
+                scheme,
+                w.threads,
+            );
+            assert_run_parity(&w, 4_000, &cfg, w.threads);
+        }
+    }
+}
+
+/// Threads ≫ cores: 16 and 64 threads multiplexed on 8 cores, with the
+/// quantum at 0 (rotate every retire slot), the default, and 10⁶
+/// (never preempt at a safe point).
+#[test]
+fn threads_oversubscribing_cores_step_identically() {
+    for threads in [16, 64] {
+        for timeslice in [0, SimConfig::new(Scheme::LightWsp).timeslice, 1_000_000] {
+            let mut w = workload("intruder").unwrap();
+            w.threads = threads;
+            let mut cfg = SimConfig::new(Scheme::LightWsp).with_cores(8);
+            cfg.timeslice = timeslice;
+            assert_run_parity(&w, 1_500, &cfg, threads);
+        }
+    }
+}
+
+/// 1 and 4 MCs behind an 8-entry WPQ, 16 cores: full queues turn most
+/// deliveries into head-of-line retries and trip the overflow
+/// fallback, the states where skip-ahead parks path heads.
+#[test]
+fn tiny_wpq_hol_and_overflow_step_identically() {
+    for num_mcs in [1, 4] {
+        let mut w = workload("tatp").unwrap();
+        w.threads = 16;
+        let mut cfg = SimConfig::new(Scheme::LightWsp).with_cores(16);
+        cfg.mem.num_mcs = num_mcs;
+        cfg.mem.wpq_entries = 8;
+        assert_run_parity(&w, 3_000, &cfg, 16);
+        let (mut reference, _) = machine_pair(&w, 3_000, &cfg, 16);
+        reference.run();
+        let s = reference.stats();
+        assert!(s.hol_blocked_cycles > 0, "{num_mcs} MCs: no HOL retries");
+        assert!(s.wpq_overflows > 0, "{num_mcs} MCs: no overflow fallback");
+    }
+}
+
+/// A `run_until` ladder through a stall-heavy 16-core window: landing
+/// every 97 cycles, the full `SimStats` agree at each stop — the parked
+/// cores' and heads' deferred charges are folded at every landing. Then
+/// a power cut taken mid-stall yields identical captures, and the
+/// resumed runs finish identically.
+#[test]
+fn run_until_ladder_and_power_cut_while_parked() {
+    let mut w = workload("intruder").unwrap();
+    w.threads = 16;
+    let mut cfg = SimConfig::new(Scheme::LightWsp).with_cores(16);
+    cfg.mem.wpq_entries = 16;
+    let (mut reference, mut skip) = machine_pair(&w, 3_000, &cfg, 16);
+    let mut target = 0;
+    let mut stalls_before_last = 0;
+    while target < 6_000 {
+        stalls_before_last = skip.stats().stall_load_miss;
+        target += 97;
+        assert_eq!(reference.run_until(target), skip.run_until(target));
+        assert_eq!(reference.now(), skip.now(), "landing {target}");
+        assert_eq!(reference.stats(), skip.stats(), "stats at {target}");
+    }
+    assert!(
+        skip.stats().stall_load_miss > stalls_before_last,
+        "the cut must land while load-miss stalls accrue"
+    );
+    let rc = reference.inject_power_failure_audited();
+    let sc = skip.inject_power_failure_audited();
+    assert_eq!(rc.at_cycle, sc.at_cycle);
+    assert_eq!(rc.survivable, sc.survivable);
+    assert_eq!(rc.per_mc, sc.per_mc, "resolutions differ");
+    assert!(rc.pm_before.same_contents(&sc.pm_before));
+    assert_eq!(rc.report.resume_points, sc.report.resume_points);
+    assert_eq!(reference.stats(), skip.stats(), "stats after the cut");
+    assert_eq!(reference.run(), skip.run());
+    assert_eq!(reference.now(), skip.now());
+    assert_eq!(reference.stats(), skip.stats(), "stats after resume");
+    assert!(reference.stats().hol_blocked_cycles > 0, "no HOL retries");
+    assert!(reference.pm_contents().same_contents(skip.pm_contents()));
 }
 
 fn arbitrary_spec() -> impl Strategy<Value = WorkloadSpec> {
